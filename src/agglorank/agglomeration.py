@@ -3,11 +3,14 @@
 All values are exact rationals.  ``Rational`` is ``fractions.Fraction``: it is
 always reduced with a positive denominator, and since Python integers have
 arbitrary precision the arithmetic can never overflow or wrap.
+
+Importance follows the definition: each node is contracted and phi is taken
+of the result.  Every phi comes from one ``distance_sum``, which peels
+pendant trees and searches from all remaining sources at once.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,11 +40,22 @@ class RankReport:
     entries: tuple[ImcEntry, ...]
 
 
+def phi_and_length(g: Graph) -> tuple[Fraction, Fraction | None]:
+    """phi(g) and the average path length, from a single distance sum.
+
+    The 1-node graph has phi 1 and no average path length (None).
+    """
+    if g.n == 1:
+        return Fraction(1), None
+    total = distance_sum(g)
+    return Fraction(g.n - 1, total), Fraction(total, g.n * (g.n - 1))
+
+
 def average_path_length(g: Graph) -> Fraction:
     """Mean shortest-path distance over ordered distinct node pairs."""
     if g.n < 2:
         raise DegenerateOrderError("average path length requires at least two nodes")
-    return Fraction(distance_sum(g), g.n * (g.n - 1))
+    return phi_and_length(g)[1]
 
 
 def phi(g: Graph) -> Fraction:
@@ -50,9 +64,7 @@ def phi(g: Graph) -> Fraction:
     The 1-node graph gets the maximum value 1.  For every connected graph the
     result lies in (0, 1], and equals 1 only when n = 1.
     """
-    if g.n == 1:
-        return Fraction(1)
-    return Fraction(g.n - 1, distance_sum(g))
+    return phi_and_length(g)[0]
 
 
 def _imc_entry(g: Graph, v: int, phi_g: Fraction) -> ImcEntry:
@@ -68,21 +80,14 @@ def imc(g: Graph, v: int) -> ImcEntry:
 
 
 def imc_all(g: Graph, *, jobs: int = 1) -> RankReport:
-    """Rank every node.  The report is identical regardless of ``jobs``.
+    """Rank every node.
 
-    Per-node work is independent, so with jobs > 1 it fans out across a thread
-    pool; entries are always merged back in node order before ranking.
+    ``jobs`` is accepted for compatibility; it changes neither the report nor
+    the speed.
     """
     if g.n < 2:
         raise DegenerateOrderError("ranking requires at least two nodes")
-    total = distance_sum(g)
-    phi_g = Fraction(g.n - 1, total)
-    length = Fraction(total, g.n * (g.n - 1))
-    nodes = range(g.n)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(lambda v: _imc_entry(g, v, phi_g), nodes))
-    else:
-        entries = [_imc_entry(g, v, phi_g) for v in nodes]
+    phi_g, length = phi_and_length(g)
+    entries = [_imc_entry(g, v, phi_g) for v in range(g.n)]
     entries.sort(key=lambda e: (-e.imc, e.node))
     return RankReport(phi=phi_g, avg_path_length=length, entries=tuple(entries))

@@ -15,7 +15,7 @@ import re
 import sys
 from pathlib import Path
 
-from .agglomeration import average_path_length, imc_all, phi
+from .agglomeration import imc_all, phi_and_length
 from .contraction import contract
 from .errors import (
     ConnectivityError,
@@ -86,15 +86,14 @@ def cmd_rank(args: argparse.Namespace) -> int:
     for v in classes:
         if v >= g.n:
             raise EdgeListError(f"class comment for unknown node {v}")
-    report = imc_all(g, jobs=args.jobs)
+    report = imc_all(g)
     _emit(args, render_rank(report, classes or None, args.format))
     return EXIT_OK
 
 
 def cmd_phi(args: argparse.Namespace) -> int:
     _, g = _read_graph(args)
-    value = phi(g)
-    length = average_path_length(g) if g.n >= 2 else None
+    value, length = phi_and_length(g)
     _emit(args, render_phi(value, length, args.format))
     return EXIT_OK
 
@@ -128,7 +127,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         value = getattr(args, name)
         if value is not None:
             ranges[name] = value
-    report = verify_family(args.family.replace("-", "_"), ranges, jobs=args.jobs)
+    report = verify_family(args.family.replace("-", "_"), ranges)
     _emit(args, render_verify(report, args.format))
     return EXIT_MISMATCH if report.mismatches else EXIT_OK
 
@@ -143,7 +142,8 @@ def _add_format(p: argparse.ArgumentParser) -> None:
 
 def _add_jobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads; output is identical for any value")
+                   help="accepted for compatibility; the value changes neither "
+                        "output nor speed")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from functools import reduce
+from itertools import accumulate
+from operator import mul, or_
 from typing import Iterable, Iterator
 
 from .errors import ConnectivityError, DegenerateOrderError, EdgeListError
@@ -205,10 +208,80 @@ def distance_sum(g: Graph) -> int:
     """Total shortest-path length over all ordered node pairs.
 
     Each unordered pair is counted twice, so the result is always even.
+
+    Pendant trees are peeled off first: a leaf merges into its neighbor,
+    which then stands for w nodes at a summed distance s from it, and the
+    pairs inside a merged tree are counted as it grows.  A tree peels down to
+    one node.  On what is left (the core, where no node is a leaf) every
+    source is searched at once, with w bits for a source of weight w:
+    ``front[v]`` holds the sources whose distance to v is the current level.
+    A pair of core nodes x, y then adds w(x) * w(y) * d(x, y), and each core
+    node x adds s(x) * (n - w(x)) in both directions, since trees hang off
+    the core and no shortest path runs through one.  The n source bits go in
+    blocks of at most ``_BLOCK_BITS // core order``, so a list of bitsets
+    stays near 16 MiB.
     """
     if g.n < 2:
         raise DegenerateOrderError("distance sum requires at least two nodes")
-    total = sum(bfs_distances(g, 0))
-    for source in range(1, g.n):
-        total += sum(_bfs(g, source))
+    bfs_distances(g, 0)  # connectivity, naming an unreachable node
+    n, adj = g.n, g.adj
+    degree = [len(nbrs) for nbrs in adj]
+    weight = [1] * n
+    spread = [0] * n
+    alive = [True] * n
+    total = 0
+    remaining = n
+    leaves = [v for v in range(n) if degree[v] == 1]
+    while leaves and remaining > 1:
+        leaf = leaves.pop()
+        alive[leaf] = False
+        remaining -= 1
+        u = next(w for w in adj[leaf] if alive[w])
+        a, b = weight[leaf], weight[u]
+        total += 2 * (spread[leaf] * b + a * b + a * spread[u])
+        spread[u] += spread[leaf] + a
+        weight[u] += a
+        degree[u] -= 1
+        if degree[u] == 1:
+            leaves.append(u)
+    if remaining == 1:
+        return total
+    core = [v for v in range(n) if alive[v]]
+    index = {v: i for i, v in enumerate(core)}
+    core_adj = [[index[w] for w in adj[v] if alive[w]] for v in core]
+    weight = [weight[v] for v in core]
+    total += 2 * sum(spread[v] * (n - w) for v, w in zip(core, weight))
+    return total + _weighted_core_sum(core_adj, weight)
+
+
+# Bits per source block times core order: 2^27 bits is 16 MiB per bitset list.
+_BLOCK_BITS = 1 << 27
+
+
+def _weighted_core_sum(adj: list[list[int]], weight: list[int]) -> int:
+    # Sum of w(x) * w(y) * d(x, y) over ordered pairs, by all-sources BFS in
+    # which source x owns w(x) bits, so a popcount weighs the sources; the
+    # weights' total is split into blocks of bit positions.
+    c = len(adj)
+    ends = list(accumulate(weight))
+    block = max(1, _BLOCK_BITS // c)
+    total = 0
+    for lo in range(0, ends[-1], block):
+        hi = lo + block
+        front = [0] * c
+        for x, (w, end) in enumerate(zip(weight, ends)):
+            first, last = max(end - w, lo), min(end, hi)
+            if first < last:
+                front[x] = (1 << last - lo) - (1 << first - lo)
+        seen = front[:]
+        level = 0
+        while True:
+            level += 1
+            front = [reduce(or_, map(front.__getitem__, nbrs)) & ~s
+                     for nbrs, s in zip(adj, seen)]
+            reached = sum(map(mul, weight, map(int.bit_count, front)))
+            if not reached:
+                break
+            total += level * reached
+            seen = [s | x for s, x in zip(seen, front)]
     return total

@@ -11,7 +11,6 @@ than counted as mismatches.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -278,16 +277,14 @@ def verify_family(
     *,
     jobs: int = 1,
 ) -> VerifyReport:
-    """Check one family over a grid; the report is identical for any ``jobs``."""
-    resolved = resolve_ranges(family, ranges)
-    specs = grid_specs(family, resolved)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda s: _check_spec(family, s), specs))
-    else:
-        results = [_check_spec(family, spec) for spec in specs]
+    """Check one family over a grid.
+
+    ``jobs`` is accepted for compatibility; it changes neither the report nor
+    the speed.
+    """
+    specs = grid_specs(family, resolve_ranges(family, ranges))
     report = VerifyReport(rows=[], notes=[], violations=[])
-    for rows, notes, violations in results:
+    for rows, notes, violations in (_check_spec(family, spec) for spec in specs):
         report.rows.extend(rows)
         report.notes.extend(notes)
         report.violations.extend(violations)

@@ -5,10 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from agglorank.agglomeration import Rational, average_path_length, imc, imc_all, phi
+from agglorank import agglomeration
+from agglorank.agglomeration import (
+    Rational,
+    average_path_length,
+    imc,
+    imc_all,
+    phi,
+    phi_and_length,
+)
 from agglorank.errors import ConnectivityError, DegenerateOrderError
 from agglorank.families import CometSpec, NodeClass, PathSpec, generate
-from agglorank.graph import from_edge_list
+from agglorank.graph import bfs_distances, distance_sum, from_edge_list
 
 from oracles import all_connected_labeled_graphs, oracle_distance_sum, random_connected_graph
 
@@ -169,3 +177,42 @@ def test_path_formula_values_up_to_60():
         for entry in imc_all(lg.graph).entries:
             expected = end if lg.classes[entry.node] is NodeClass.PATH_END else inner
             assert entry.imc == expected
+
+
+def test_phi_and_length_share_one_distance_sum(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return distance_sum(g)
+
+    monkeypatch.setattr(agglomeration, "distance_sum", counted)
+    assert phi_and_length(path(4)) == (Fraction(3, 20), Fraction(5, 3))
+    assert len(calls) == 1
+    assert phi_and_length(from_edge_list([], n=1)) == (1, None)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("edges, n", [([(0, 1), (2, 3)], None), ([(1, 2)], 4),
+                                      ([(0, 2), (2, 3)], 5)])
+def test_disconnected_ranking_raises_before_the_per_node_loop(monkeypatch, edges, n):
+    g = from_edge_list(edges, n=n)
+    with pytest.raises(ConnectivityError) as expected:
+        bfs_distances(g, 0)
+
+    def per_node_loop(*args):
+        raise AssertionError("the per-node loop ran on a disconnected graph")
+
+    monkeypatch.setattr(agglomeration, "contract", per_node_loop)
+    with pytest.raises(ConnectivityError) as raised:
+        imc_all(g)
+    assert str(raised.value) == str(expected.value)
+    assert raised.value.unreachable == expected.value.unreachable
+
+
+def test_single_node_ranking_and_importance_are_degenerate():
+    g = from_edge_list([], n=1)
+    with pytest.raises(DegenerateOrderError, match="ranking requires at least two nodes"):
+        imc_all(g)
+    with pytest.raises(DegenerateOrderError, match="importance requires at least two nodes"):
+        imc(g, 0)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from agglorank import graph
 from agglorank.errors import ConnectivityError, DegenerateOrderError, EdgeListError
 from agglorank.graph import (
     bfs_distances,
@@ -133,6 +134,27 @@ class TestDistanceSum:
     @pytest.mark.parametrize("n", range(2, 51))
     def test_path_closed_form(self, n):
         assert distance_sum(path(n)) == n * (n * n - 1) // 3
+
+
+def _with_pendant_trees(rng, g, extra):
+    # Attach `extra` new nodes, each to a random earlier node.
+    edges = list(g.edges())
+    for new in range(g.n, g.n + extra):
+        edges.append((rng.randrange(new), new))
+    return from_edge_list(edges, n=g.n + extra)
+
+
+@pytest.mark.parametrize("block_bits", [1, 3, graph._BLOCK_BITS])
+def test_distance_sum_against_minplus_oracle(monkeypatch, block_bits):
+    # Pendant trees give core nodes weights above 1; small blocks split the
+    # source bits, one source's among them, into several searches.
+    monkeypatch.setattr(graph, "_BLOCK_BITS", block_bits)
+    rng = random.Random(11)
+    for _ in range(600):
+        g = random_connected_graph(rng, rng.randint(2, 14))
+        if rng.random() < 0.5:
+            g = _with_pendant_trees(rng, g, rng.randint(1, 20))
+        assert distance_sum(g) == oracle_distance_sum(g)
 
 
 class TestSerialization:
