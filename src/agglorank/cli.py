@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .agglomeration import imc_all, phi_and_length
@@ -24,15 +25,7 @@ from .errors import (
     FamilyParameterError,
     FormulaDomainError,
 )
-from .families import (
-    CometSpec,
-    DoubleCometSpec,
-    LollipopSpec,
-    PathSpec,
-    generate,
-    scan_class_comments,
-    write_labeled,
-)
+from .families import FAMILIES, generate, scan_class_comments, write_labeled
 from .graph import bfs_distances, parse_edge_list, to_edge_list
 from .reports import FORMATS, render_phi, render_rank, render_verify
 from .verify import verify_family
@@ -43,6 +36,9 @@ EXIT_DISCONNECTED = 3
 EXIT_MISMATCH = 4
 
 _RANGE = re.compile(r"(\d+)\.\.(\d+)$")
+
+# Family subcommands are the registry's names with hyphens.
+_FAMILY_BY_COMMAND = {name.replace("_", "-"): cls for name, cls in FAMILIES.items()}
 
 
 def _range_arg(text: str) -> tuple[int, int]:
@@ -68,14 +64,8 @@ def _read_graph(args: argparse.Namespace):
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.family == "path":
-        spec = PathSpec(n=args.n)
-    elif args.family == "comet":
-        spec = CometSpec(s=args.s, t=args.t)
-    elif args.family == "double-comet":
-        spec = DoubleCometSpec(n=args.n, a=args.a, b=args.b)
-    else:
-        spec = LollipopSpec(n=args.n, d=args.d)
+    cls = _FAMILY_BY_COMMAND[args.family]
+    spec = cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
     _emit(args, write_labeled(generate(spec)))
     return EXIT_OK
 
@@ -113,21 +103,10 @@ def cmd_contract(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_VERIFY_PARAMS = {
-    "path": ("n",),
-    "comet": ("s", "t"),
-    "double-comet": ("a", "b", "k"),
-    "lollipop": ("d", "nd"),
-}
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    ranges = {}
-    for name in _VERIFY_PARAMS[args.family]:
-        value = getattr(args, name)
-        if value is not None:
-            ranges[name] = value
-    report = verify_family(args.family.replace("-", "_"), ranges)
+    cls = _FAMILY_BY_COMMAND[args.family]
+    ranges = {name: getattr(args, name) for name in cls.GRID if getattr(args, name) is not None}
+    report = verify_family(cls.NAME, ranges)
     _emit(args, render_verify(report, args.format))
     return EXIT_MISMATCH if report.mismatches else EXIT_OK
 
@@ -155,19 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a family graph as a labeled edge list")
     gen_sub = gen.add_subparsers(dest="family", required=True)
-    gp = gen_sub.add_parser("path")
-    gp.add_argument("--n", type=int, required=True)
-    gc = gen_sub.add_parser("comet")
-    gc.add_argument("--s", type=int, required=True)
-    gc.add_argument("--t", type=int, required=True)
-    gd = gen_sub.add_parser("double-comet")
-    gd.add_argument("--n", type=int, required=True)
-    gd.add_argument("--a", type=int, required=True)
-    gd.add_argument("--b", type=int, required=True)
-    gl = gen_sub.add_parser("lollipop")
-    gl.add_argument("--n", type=int, required=True)
-    gl.add_argument("--d", type=int, required=True)
-    for p in (gp, gc, gd, gl):
+    for command, cls in _FAMILY_BY_COMMAND.items():
+        p = gen_sub.add_parser(command)
+        for f in fields(cls):
+            p.add_argument(f"--{f.name}", type=int, required=True)
         p.set_defaults(func=cmd_gen)
         _add_output(p)
 
@@ -192,19 +162,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="compare engine values against closed forms")
     ver_sub = ver.add_subparsers(dest="family", required=True)
-    vp = ver_sub.add_parser("path")
-    vp.add_argument("--n", type=_range_arg)
-    vc = ver_sub.add_parser("comet")
-    vc.add_argument("--s", type=_range_arg)
-    vc.add_argument("--t", type=_range_arg)
-    vd = ver_sub.add_parser("double-comet")
-    vd.add_argument("--a", type=_range_arg)
-    vd.add_argument("--b", type=_range_arg)
-    vd.add_argument("--k", type=_range_arg, help="connecting path length")
-    vl = ver_sub.add_parser("lollipop")
-    vl.add_argument("--d", type=_range_arg)
-    vl.add_argument("--nd", type=_range_arg, help="clique size")
-    for p in (vp, vc, vd, vl):
+    for command, cls in _FAMILY_BY_COMMAND.items():
+        p = ver_sub.add_parser(command)
+        for name in cls.GRID:
+            p.add_argument(f"--{name}", type=_range_arg, help=cls.GRID_HELP.get(name))
         p.set_defaults(func=cmd_verify)
         _add_format(p)
         _add_jobs(p)

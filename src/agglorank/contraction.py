@@ -40,14 +40,16 @@ def contract(g: Graph, v: int) -> ContractionResult:
     survivors = [u for u in range(g.n) if u not in removed]
     old_to_new = {old: new for new, old in enumerate(survivors)}
     merged = len(survivors)
-    adj_sets: list[set[int]] = [set() for _ in range(merged + 1)]
-    for old in survivors:
-        new = old_to_new[old]
-        for w in g.adj[old]:
-            if w in removed:
-                adj_sets[new].add(merged)
-                adj_sets[merged].add(new)
-            else:
-                adj_sets[new].add(old_to_new[w])
-    contracted = Graph(merged + 1, tuple(tuple(sorted(s)) for s in adj_sets))
+    # Renumbering keeps survivor order and the merged node comes last, so
+    # each list is born sorted.
+    adj: list[tuple[int, ...]] = []
+    touching: list[int] = []
+    for new, old in enumerate(survivors):
+        nbrs = [old_to_new[w] for w in g.adj[old] if w not in removed]
+        if len(nbrs) < len(g.adj[old]):
+            nbrs.append(merged)
+            touching.append(new)
+        adj.append(tuple(nbrs))
+    adj.append(tuple(touching))
+    contracted = Graph(merged + 1, tuple(adj))
     return ContractionResult(graph=contracted, merged_into=merged, old_to_new=old_to_new)

@@ -1,4 +1,12 @@
-"""Deterministic generators for path, comet, double-comet and lollipop networks.
+"""The family registry: paths, comets, double comets and lollipops.
+
+Each spec class is the one record of what its family is: its name, the
+abbreviation its labels use, its roles in verify row order, its default
+verify grid (whose lower bounds are the floors of the importance formulas),
+how a grid point maps to a spec, and its generator.  ``FAMILIES`` maps each
+name to its class; ``generate``, labeled I/O, ``verify`` and the CLI are all
+derived from it.  A family's closed forms are ``closed_forms.phi_<name>`` and
+``closed_forms.imc_<name>``, called with the spec's fields in order.
 
 Node numbering follows each family's conventional labeling so that ids, roles
 and figures line up, and is a stability guarantee:
@@ -19,8 +27,8 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 from .errors import EdgeListError, FamilyParameterError
 from .graph import Graph, from_edge_list, parse_edge_list, to_edge_list
@@ -49,28 +57,77 @@ class NodeClass(enum.Enum):
 _CLASS_BY_LABEL = {c.value: c for c in NodeClass}
 
 
+class FamilySpec:
+    """Base of the family spec dataclasses.
+
+    A subclass sets ``NAME``, ``ABBREV`` (for ``label()``), ``ROLES`` (the
+    verify row order), ``GRID`` (default verify ranges per grid parameter,
+    lower bounds being the formula floors) and, where a grid parameter needs
+    one, its help text in ``GRID_HELP``; it implements ``build()``.
+    """
+
+    NAME: ClassVar[str]
+    ABBREV: ClassVar[str]
+    ROLES: ClassVar[tuple[NodeClass, ...]]
+    GRID: ClassVar[dict[str, tuple[int, int]]]
+    GRID_HELP: ClassVar[dict[str, str]] = {}
+
+    @classmethod
+    def from_grid(cls, **point: int) -> FamilySpec:
+        """The spec at one point of the verify grid."""
+        return cls(**point)
+
+    @property
+    def order(self) -> int:
+        return self.n
+
+    def params(self) -> tuple[int, ...]:
+        """Field values in declaration order, as the closed forms take them."""
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def label(self) -> str:
+        return f"{self.ABBREV}({','.join(map(str, self.params()))})"
+
+    def comment_fields(self) -> str:
+        pairs = (f"{f.name}={getattr(self, f.name)}" for f in fields(self))
+        return " ".join((self.NAME, *pairs))
+
+    def build(self) -> tuple[list[tuple[int, int]], list[NodeClass]]:
+        """Edges and one role per node, in the family's numbering."""
+        raise NotImplementedError
+
+
 @dataclass(frozen=True)
-class PathSpec:
+class PathSpec(FamilySpec):
+    NAME, ABBREV = "path", "P"
+    ROLES = (NodeClass.PATH_END, NodeClass.PATH_INNER)
+    GRID = {"n": (4, 40)}
+
     n: int
 
     def __post_init__(self):
         if self.n < 2:
             raise FamilyParameterError(f"path requires n >= 2, got n={self.n}")
 
-    @property
-    def order(self) -> int:
-        return self.n
-
-    def label(self) -> str:
-        return f"P({self.n})"
-
-    def comment_fields(self) -> str:
-        return f"path n={self.n}"
+    def build(self):
+        edges = [(i, i + 1) for i in range(self.n - 1)]
+        classes = [NodeClass.PATH_INNER] * self.n
+        classes[0] = classes[-1] = NodeClass.PATH_END
+        return edges, classes
 
 
 @dataclass(frozen=True)
-class CometSpec:
+class CometSpec(FamilySpec):
     """Star with s leaves whose center closes one end of a handle of t nodes."""
+
+    NAME, ABBREV = "comet", "C"
+    ROLES = (
+        NodeClass.COMET_PATH_END,
+        NodeClass.COMET_PATH_INNER,
+        NodeClass.COMET_CENTER,
+        NodeClass.COMET_STAR_LEAF,
+    )
+    GRID = {"s": (3, 10), "t": (4, 12)}
 
     s: int
     t: int
@@ -85,16 +142,32 @@ class CometSpec:
     def order(self) -> int:
         return self.s + self.t
 
-    def label(self) -> str:
-        return f"C({self.s},{self.t})"
-
-    def comment_fields(self) -> str:
-        return f"comet s={self.s} t={self.t}"
+    def build(self):
+        s, t = self.s, self.t
+        center = t - 1
+        edges = [(i, i + 1) for i in range(t - 1)]
+        edges += [(center, t + j) for j in range(s)]
+        classes = [NodeClass.COMET_PATH_INNER] * t + [NodeClass.COMET_STAR_LEAF] * s
+        classes[center] = NodeClass.COMET_CENTER
+        if t >= 2:
+            classes[0] = NodeClass.COMET_PATH_END
+        return edges, classes
 
 
 @dataclass(frozen=True)
-class DoubleCometSpec:
+class DoubleCometSpec(FamilySpec):
     """Path of n-a-b nodes with a pendants on one end and b on the other."""
+
+    NAME, ABBREV = "double_comet", "DC"
+    ROLES = (
+        NodeClass.DC_LEAF_A,
+        NodeClass.DC_LEAF_B,
+        NodeClass.DC_END_A,
+        NodeClass.DC_END_B,
+        NodeClass.DC_INNER,
+    )
+    GRID = {"a": (2, 6), "b": (2, 6), "k": (4, 10)}
+    GRID_HELP = {"k": "connecting path length"}
 
     n: int
     a: int
@@ -110,24 +183,43 @@ class DoubleCometSpec:
                 f"double comet requires n - a - b >= 2, got {self.n - self.a - self.b}"
             )
 
-    @property
-    def order(self) -> int:
-        return self.n
+    @classmethod
+    def from_grid(cls, a: int, b: int, k: int) -> DoubleCometSpec:
+        return cls(n=a + b + k, a=a, b=b)
 
     @property
     def path_len(self) -> int:
         return self.n - self.a - self.b
 
-    def label(self) -> str:
-        return f"DC({self.n},{self.a},{self.b})"
-
-    def comment_fields(self) -> str:
-        return f"double_comet n={self.n} a={self.a} b={self.b}"
+    def build(self):
+        a, b, k = self.a, self.b, self.path_len
+        first, last = a + b, self.n - 1
+        edges = [(i, first) for i in range(a)]
+        edges += [(a + j, last) for j in range(b)]
+        edges += [(i, i + 1) for i in range(first, last)]
+        classes = (
+            [NodeClass.DC_LEAF_A] * a
+            + [NodeClass.DC_LEAF_B] * b
+            + [NodeClass.DC_INNER] * k
+        )
+        classes[first] = NodeClass.DC_END_A
+        classes[last] = NodeClass.DC_END_B
+        return edges, classes
 
 
 @dataclass(frozen=True)
-class LollipopSpec:
+class LollipopSpec(FamilySpec):
     """Complete graph on n-d nodes with a tail of d nodes hanging off it."""
+
+    NAME, ABBREV = "lollipop", "L"
+    ROLES = (
+        NodeClass.LP_PATH_END,
+        NodeClass.LP_PATH_INNER,
+        NodeClass.LP_JUNCTION,
+        NodeClass.LP_CLIQUE,
+    )
+    GRID = {"d": (4, 12), "nd": (2, 8)}
+    GRID_HELP = {"nd": "clique size"}
 
     n: int
     d: int
@@ -140,18 +232,25 @@ class LollipopSpec:
                 f"lollipop requires n - d >= 1, got {self.n - self.d}"
             )
 
-    @property
-    def order(self) -> int:
-        return self.n
+    @classmethod
+    def from_grid(cls, d: int, nd: int) -> LollipopSpec:
+        return cls(n=d + nd, d=d)
 
-    def label(self) -> str:
-        return f"L({self.n},{self.d})"
+    def build(self):
+        d, m = self.d, self.n - self.d
+        junction = d - 1
+        edges = [(i, i + 1) for i in range(d - 1)]
+        edges += [(junction, d + j) for j in range(m)]
+        edges += [(d + i, d + j) for i in range(m) for j in range(i + 1, m)]
+        classes = [NodeClass.LP_PATH_INNER] * d + [NodeClass.LP_CLIQUE] * m
+        classes[0] = NodeClass.LP_PATH_END
+        classes[junction] = NodeClass.LP_JUNCTION
+        return edges, classes
 
-    def comment_fields(self) -> str:
-        return f"lollipop n={self.n} d={self.d}"
 
-
-FamilySpec = Union[PathSpec, CometSpec, DoubleCometSpec, LollipopSpec]
+FAMILIES: dict[str, type[FamilySpec]] = {
+    cls.NAME: cls for cls in (PathSpec, CometSpec, DoubleCometSpec, LollipopSpec)
+}
 
 
 @dataclass(frozen=True)
@@ -163,43 +262,9 @@ class LabeledGraph:
 
 def generate(spec: FamilySpec) -> LabeledGraph:
     """Build the graph for a family spec with one role label per node."""
-    if isinstance(spec, PathSpec):
-        edges = [(i, i + 1) for i in range(spec.n - 1)]
-        classes = [NodeClass.PATH_INNER] * spec.n
-        classes[0] = classes[-1] = NodeClass.PATH_END
-    elif isinstance(spec, CometSpec):
-        s, t = spec.s, spec.t
-        center = t - 1
-        edges = [(i, i + 1) for i in range(t - 1)]
-        edges += [(center, t + j) for j in range(s)]
-        classes = [NodeClass.COMET_PATH_INNER] * t + [NodeClass.COMET_STAR_LEAF] * s
-        classes[center] = NodeClass.COMET_CENTER
-        if t >= 2:
-            classes[0] = NodeClass.COMET_PATH_END
-    elif isinstance(spec, DoubleCometSpec):
-        a, b, k = spec.a, spec.b, spec.path_len
-        first, last = a + b, spec.n - 1
-        edges = [(i, first) for i in range(a)]
-        edges += [(a + j, last) for j in range(b)]
-        edges += [(i, i + 1) for i in range(first, last)]
-        classes = (
-            [NodeClass.DC_LEAF_A] * a
-            + [NodeClass.DC_LEAF_B] * b
-            + [NodeClass.DC_INNER] * k
-        )
-        classes[first] = NodeClass.DC_END_A
-        classes[last] = NodeClass.DC_END_B
-    elif isinstance(spec, LollipopSpec):
-        d, m = spec.d, spec.n - spec.d
-        junction = d - 1
-        edges = [(i, i + 1) for i in range(d - 1)]
-        edges += [(junction, d + j) for j in range(m)]
-        edges += [(d + i, d + j) for i in range(m) for j in range(i + 1, m)]
-        classes = [NodeClass.LP_PATH_INNER] * d + [NodeClass.LP_CLIQUE] * m
-        classes[0] = NodeClass.LP_PATH_END
-        classes[junction] = NodeClass.LP_JUNCTION
-    else:
+    if not isinstance(spec, FamilySpec):
         raise TypeError(f"not a family spec: {spec!r}")
+    edges, classes = spec.build()
     return LabeledGraph(
         graph=from_edge_list(edges, n=spec.order),
         classes=tuple(classes),
@@ -219,19 +284,14 @@ _CLASS_LINE = re.compile(r"#\s*class\s+(\d+)\s+(\S+)\s*$")
 _FIELD = re.compile(r"([a-z]+)=(\d+)")
 
 
-def _spec_from_fields(name: str, fields: dict[str, int]) -> FamilySpec:
+def _spec_from_fields(name: str, values: dict[str, int]) -> FamilySpec:
+    if name not in FAMILIES:
+        raise EdgeListError(f"unknown family {name!r}")
+    cls = FAMILIES[name]
     try:
-        if name == "path":
-            return PathSpec(n=fields.pop("n"))
-        if name == "comet":
-            return CometSpec(s=fields.pop("s"), t=fields.pop("t"))
-        if name == "double_comet":
-            return DoubleCometSpec(n=fields.pop("n"), a=fields.pop("a"), b=fields.pop("b"))
-        if name == "lollipop":
-            return LollipopSpec(n=fields.pop("n"), d=fields.pop("d"))
+        return cls(**{f.name: values.pop(f.name) for f in fields(cls)})
     except KeyError as missing:
         raise EdgeListError(f"family {name} is missing parameter {missing}") from None
-    raise EdgeListError(f"unknown family {name!r}")
 
 
 def write_labeled(lg: LabeledGraph) -> str:

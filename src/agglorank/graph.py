@@ -13,8 +13,8 @@ import re
 from collections import deque
 from functools import reduce
 from itertools import accumulate
-from operator import mul, or_
-from typing import Iterable, Iterator
+from operator import itemgetter, mul, or_
+from typing import Callable, Iterable, Iterator
 
 from .errors import ConnectivityError, DegenerateOrderError, EdgeListError
 
@@ -71,6 +71,49 @@ def _build(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(tuple(sorted(nbrs)) for nbrs in adj))
 
 
+def _validated(
+    edges: Iterable[tuple[int, int]],
+    declared: Callable[[], int | None],
+    line_of: Callable[[int], int] | None = None,
+) -> tuple[int, list[tuple[int, int]]]:
+    """Check edges and fix the order; return (order, canonical pairs).
+
+    Rejects negative ids, self-loops and duplicates as the edges arrive, then
+    ids at or above ``declared()``, which is read only once every edge is in
+    (a "# n=" header may follow the edges).  With no declared order the order
+    is 1 + the largest id.  An error names edge i by its line ``line_of(i)``
+    when given, else as "edge i".
+    """
+
+    def error(i: int, message: str) -> EdgeListError:
+        if line_of is None:
+            return EdgeListError(f"edge {i}: {message}")
+        return EdgeListError(message, line=line_of(i))
+
+    seen: set[tuple[int, int]] = set()
+    pairs: list[tuple[int, int]] = []
+    for i, (u, v) in enumerate(edges):
+        key = (u, v) if u < v else (v, u)
+        if key[0] < 0:
+            raise error(i, f"negative node id in '{u} {v}'")
+        if u == v:
+            raise error(i, f"self-loop at node {u}")
+        if key in seen:
+            raise error(i, f"duplicate edge {u} {v}")
+        seen.add(key)
+        pairs.append(key)
+    n = declared()
+    top = max(map(itemgetter(1), pairs), default=-1)
+    if n is None:
+        if top < 0:
+            raise EdgeListError("no edges and no declared order; graph order unknown")
+        return top + 1, pairs
+    if top >= n:
+        i = next(i for i, (_, v) in enumerate(pairs) if v >= n)
+        raise error(i, f"node id {pairs[i][1]} outside declared order n={n}")
+    return n, pairs
+
+
 def from_edge_list(edges: Iterable[tuple[int, int]], n: int | None = None) -> Graph:
     """Build a graph from (u, v) pairs, rejecting self-loops and duplicates.
 
@@ -80,74 +123,40 @@ def from_edge_list(edges: Iterable[tuple[int, int]], n: int | None = None) -> Gr
     """
     if n is not None and n < 1:
         raise EdgeListError(f"order must be at least 1, got n={n}")
-    seen: set[tuple[int, int]] = set()
-    pairs: list[tuple[int, int]] = []
-    max_id = -1
-    for i, (u, v) in enumerate(edges):
-        where = f"edge {i}"
-        if u < 0 or v < 0:
-            raise EdgeListError(f"{where}: negative node id in ({u}, {v})")
-        if u == v:
-            raise EdgeListError(f"{where}: self-loop at node {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise EdgeListError(f"{where}: duplicate edge ({u}, {v})")
-        seen.add(key)
-        if n is not None and key[1] >= n:
-            raise EdgeListError(f"{where}: node id {key[1]} outside declared order n={n}")
-        max_id = max(max_id, key[1])
-        pairs.append(key)
-    if n is None:
-        if max_id < 0:
-            raise EdgeListError("no edges and no explicit order; graph order unknown")
-        n = max_id + 1
-    return _build(n, pairs)
+    return _build(*_validated(edges, lambda: n))
 
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format; errors carry the offending line number."""
     declared_n: int | None = None
-    pairs: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            m = _ORDER_HEADER.match(stripped)
-            if m:
-                if declared_n is not None:
-                    raise EdgeListError("second '# n=' header", line=line_no)
-                declared_n = int(m.group(1))
-                if declared_n < 1:
-                    raise EdgeListError("declared order must be at least 1", line=line_no)
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise EdgeListError(f"expected two node ids, got {stripped!r}", line=line_no)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise EdgeListError(f"non-integer node id in {stripped!r}", line=line_no) from None
-        if u < 0 or v < 0:
-            raise EdgeListError(f"negative node id in {stripped!r}", line=line_no)
-        if u == v:
-            raise EdgeListError(f"self-loop at node {u}", line=line_no)
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise EdgeListError(f"duplicate edge {u} {v}", line=line_no)
-        seen.add(key)
-        pairs.append((key[0], key[1], line_no))
-    if declared_n is None:
-        if not pairs:
-            raise EdgeListError("no edges and no '# n=' header; graph order unknown")
-        n = 1 + max(v for _, v, _ in pairs)
-    else:
-        n = declared_n
-        for _, v, line_no in pairs:
-            if v >= n:
-                raise EdgeListError(f"node id {v} outside declared order n={n}", line=line_no)
-    return _build(n, [(u, v) for u, v, _ in pairs])
+    lines: list[int] = []
+
+    def edges() -> Iterator[tuple[int, int]]:
+        nonlocal declared_n
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            stripped = raw.strip()
+            if not stripped:
+                continue
+            if stripped.startswith("#"):
+                m = _ORDER_HEADER.match(stripped)
+                if m:
+                    if declared_n is not None:
+                        raise EdgeListError("second '# n=' header", line=line_no)
+                    declared_n = int(m.group(1))
+                    if declared_n < 1:
+                        raise EdgeListError("declared order must be at least 1", line=line_no)
+                continue
+            parts = stripped.split()
+            if len(parts) != 2:
+                raise EdgeListError(f"expected two node ids, got {stripped!r}", line=line_no)
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise EdgeListError(f"non-integer node id in {stripped!r}", line=line_no) from None
+            lines.append(line_no)
+            yield u, v
+
+    return _build(*_validated(edges(), lambda: declared_n, lines.__getitem__))
 
 
 def to_edge_list(g: Graph) -> str:

@@ -21,10 +21,6 @@ FORMATS = ("table", "csv", "json")
 _SCALE = 10**6
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x)
-
-
 def decimal6(x: Fraction) -> str:
     """Round |x| * 10^6 half-to-even, exactly, and format with 6 decimals."""
     sign = "-" if x < 0 else ""
@@ -58,14 +54,14 @@ def _csv(header: list[str], rows: list[list[str]], preamble: list[str] = ()) -> 
 def render_rank(report: RankReport, classes: dict[int, str] | None, fmt: str) -> str:
     """Render a ranking; the class column appears only when classes are known."""
     with_class = bool(classes)
-    phi_s = format_rational(report.phi)
-    length_s = format_rational(report.avg_path_length)
+    phi_s = str(report.phi)
+    length_s = str(report.avg_path_length)
 
     def entry_cells(entry) -> list[str]:
         cells = [str(entry.node)]
         if with_class:
             cells.append(classes.get(entry.node, "-"))
-        cells += [format_rational(entry.imc), decimal6(entry.imc)]
+        cells += [str(entry.imc), decimal6(entry.imc)]
         return cells
 
     if fmt == "json":
@@ -74,7 +70,7 @@ def render_rank(report: RankReport, classes: dict[int, str] | None, fmt: str) ->
             item: dict = {"node": entry.node}
             if with_class and entry.node in classes:
                 item["class"] = classes[entry.node]
-            item["imc"] = format_rational(entry.imc)
+            item["imc"] = str(entry.imc)
             item["imc_decimal"] = decimal6(entry.imc)
             doc["entries"].append(item)
         return json.dumps(doc, indent=2) + "\n"
@@ -87,29 +83,29 @@ def render_rank(report: RankReport, classes: dict[int, str] | None, fmt: str) ->
 
 
 def render_phi(phi: Fraction, length: Fraction | None, fmt: str) -> str:
-    phi_s = format_rational(phi)
+    phi_s = str(phi)
     if fmt == "json":
         doc = {"phi": phi_s}
         if length is not None:
-            doc["avg_path_length"] = format_rational(length)
+            doc["avg_path_length"] = str(length)
         return json.dumps(doc, indent=2) + "\n"
     if fmt == "csv":
         header, row = ["phi"], [phi_s]
         if length is not None:
             header.append("L")
-            row.append(format_rational(length))
+            row.append(str(length))
         return _csv(header, [row])
     out = f"phi {phi_s}\n"
     if length is not None:
-        out += f"L {format_rational(length)}\n"
+        out += f"L {length}\n"
     return out
 
 
 def render_verify(report: VerifyReport, fmt: str) -> str:
     header = ["spec", "class", "analytic", "engine", "match"]
     rows = [
-        [row.spec, row.check, format_rational(row.analytic),
-         format_rational(row.engine), "yes" if row.match else "NO"]
+        [row.spec, row.check, str(row.analytic), str(row.engine),
+         "yes" if row.match else "NO"]
         for row in report.rows
     ]
     summary = f"summary total={report.total} mismatches={report.mismatches}"
@@ -119,8 +115,8 @@ def render_verify(report: VerifyReport, fmt: str) -> str:
                 {
                     "spec": row.spec,
                     "class": row.check,
-                    "analytic": format_rational(row.analytic),
-                    "engine": format_rational(row.engine),
+                    "analytic": str(row.analytic),
+                    "engine": str(row.engine),
                     "match": row.match,
                 }
                 for row in report.rows

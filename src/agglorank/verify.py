@@ -3,7 +3,10 @@
 For every family spec in a parameter grid the harness generates the graph,
 runs the full engine ranking, and compares graph-level agglomeration plus the
 per-role importance values against the analytic formulas, demanding exact
-rational equality.  It also checks the expected importance orderings between
+rational equality.  What a family is (its grid, roles and generator) comes
+from the registry in ``families``; its closed forms are looked up by name as
+``closed_forms.phi_<name>`` and ``closed_forms.imc_<name>`` at call time.
+The harness also checks the paper's expected importance orderings between
 roles; the two lollipop parameter points where the generic clique-vs-inner
 ordering is known to break are reported as notes with the exact values rather
 than counted as mismatches.
@@ -13,56 +16,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from . import closed_forms as cf
 from .agglomeration import imc_all
 from .errors import FormulaDomainError
-from .families import (
-    CometSpec,
-    DoubleCometSpec,
-    FamilySpec,
-    LollipopSpec,
-    NodeClass,
-    PathSpec,
-    generate,
-)
-
-FAMILIES = ("path", "comet", "double_comet", "lollipop")
+from .families import FAMILIES, DoubleCometSpec, FamilySpec, LollipopSpec, NodeClass, generate
 
 # Default grids; lower bounds double as the hard floor below which the
 # importance formulas are not established and verification refuses to run.
 DEFAULT_GRIDS: dict[str, dict[str, tuple[int, int]]] = {
-    "path": {"n": (4, 40)},
-    "comet": {"s": (3, 10), "t": (4, 12)},
-    "double_comet": {"a": (2, 6), "b": (2, 6), "k": (4, 10)},
-    "lollipop": {"d": (4, 12), "nd": (2, 8)},
+    name: cls.GRID for name, cls in FAMILIES.items()
 }
 
 # Lollipop points where clique nodes do not outrank inner tail nodes.
 LOLLIPOP_EXCEPTIONS = {(7, 4), (8, 5)}
-
-_CLASS_ORDER: dict[str, tuple[NodeClass, ...]] = {
-    "path": (NodeClass.PATH_END, NodeClass.PATH_INNER),
-    "comet": (
-        NodeClass.COMET_PATH_END,
-        NodeClass.COMET_PATH_INNER,
-        NodeClass.COMET_CENTER,
-        NodeClass.COMET_STAR_LEAF,
-    ),
-    "double_comet": (
-        NodeClass.DC_LEAF_A,
-        NodeClass.DC_LEAF_B,
-        NodeClass.DC_END_A,
-        NodeClass.DC_END_B,
-        NodeClass.DC_INNER,
-    ),
-    "lollipop": (
-        NodeClass.LP_PATH_END,
-        NodeClass.LP_PATH_INNER,
-        NodeClass.LP_JUNCTION,
-        NodeClass.LP_CLIQUE,
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -114,52 +82,19 @@ def resolve_ranges(
 
 
 def grid_specs(family: str, ranges: dict[str, tuple[int, int]]) -> list[FamilySpec]:
-    def span(name: str) -> range:
-        lo, hi = ranges[name]
-        return range(lo, hi + 1)
-
-    if family == "path":
-        return [PathSpec(n) for n in span("n")]
-    if family == "comet":
-        return [CometSpec(s, t) for s in span("s") for t in span("t")]
-    if family == "double_comet":
-        return [
-            DoubleCometSpec(n=a + b + k, a=a, b=b)
-            for a in span("a")
-            for b in span("b")
-            for k in span("k")
-        ]
-    return [LollipopSpec(n=d + nd, d=d) for d in span("d") for nd in span("nd")]
-
-
-def _analytic_phi(spec: FamilySpec) -> Fraction:
-    if isinstance(spec, PathSpec):
-        return cf.phi_path(spec.n)
-    if isinstance(spec, CometSpec):
-        return cf.phi_comet(spec.s, spec.t)
-    if isinstance(spec, DoubleCometSpec):
-        return cf.phi_double_comet(spec.n, spec.a, spec.b)
-    return cf.phi_lollipop(spec.n, spec.d)
-
-
-def _analytic_imc(spec: FamilySpec, node_class: NodeClass) -> Fraction:
-    if isinstance(spec, PathSpec):
-        return cf.imc_path(spec.n, node_class)
-    if isinstance(spec, CometSpec):
-        return cf.imc_comet(spec.s, spec.t, node_class)
-    if isinstance(spec, DoubleCometSpec):
-        return cf.imc_double_comet(spec.n, spec.a, spec.b, node_class)
-    return cf.imc_lollipop(spec.n, spec.d, node_class)
+    """Specs over the product of the ranges, in the family's grid order."""
+    cls = FAMILIES[family]
+    spans = [range(ranges[name][0], ranges[name][1] + 1) for name in cls.GRID]
+    return [cls.from_grid(**dict(zip(cls.GRID, point))) for point in product(*spans)]
 
 
 def _ordering_checks(
-    family: str,
     spec: FamilySpec,
     values: dict[NodeClass, Fraction],
     notes: list[str],
     violations: list[str],
 ) -> None:
-    label = spec.label()
+    family, label = spec.NAME, spec.label()
 
     def expect(cond: bool, description: str) -> None:
         if not cond:
@@ -234,15 +169,15 @@ def _ordering_checks(
             expect(clique > inner, "imc(clique) > imc(tail inner)")
 
 
-def _check_spec(
-    family: str, spec: FamilySpec
-) -> tuple[list[VerifyRow], list[str], list[str]]:
-    label = spec.label()
+def _check_spec(spec: FamilySpec) -> tuple[list[VerifyRow], list[str], list[str]]:
+    label, params = spec.label(), spec.params()
     lg = generate(spec)
     report = imc_all(lg.graph)
     imc_by_node = {entry.node: entry.imc for entry in report.entries}
 
-    rows = [VerifyRow(label, "phi", _analytic_phi(spec), report.phi)]
+    phi_form = getattr(cf, f"phi_{spec.NAME}")
+    imc_form = getattr(cf, f"imc_{spec.NAME}")
+    rows = [VerifyRow(label, "phi", phi_form(*params), report.phi)]
     notes: list[str] = []
     violations: list[str] = []
 
@@ -253,21 +188,21 @@ def _check_spec(
             violations.append(
                 f"{label}: engine imc differs between nodes of class {node_class.value}"
             )
-    for node_class in _CLASS_ORDER[family]:
+    for node_class in spec.ROLES:
         rows.append(
-            VerifyRow(label, node_class.value, _analytic_imc(spec, node_class), values[node_class])
+            VerifyRow(label, node_class.value, imc_form(*params, node_class), values[node_class])
         )
     if isinstance(spec, DoubleCometSpec):
-        for node_class in _CLASS_ORDER[family]:
+        for node_class in spec.ROLES:
             rows.append(
                 VerifyRow(
                     label,
                     node_class.value + "+condensed",
-                    cf.imc_double_comet_condensed(spec.n, spec.a, spec.b, node_class),
+                    cf.imc_double_comet_condensed(*params, node_class),
                     values[node_class],
                 )
             )
-    _ordering_checks(family, spec, values, notes, violations)
+    _ordering_checks(spec, values, notes, violations)
     return rows, notes, violations
 
 
@@ -284,7 +219,7 @@ def verify_family(
     """
     specs = grid_specs(family, resolve_ranges(family, ranges))
     report = VerifyReport(rows=[], notes=[], violations=[])
-    for rows, notes, violations in (_check_spec(family, spec) for spec in specs):
+    for rows, notes, violations in map(_check_spec, specs):
         report.rows.extend(rows)
         report.notes.extend(notes)
         report.violations.extend(violations)

@@ -2,9 +2,11 @@
 
 import pytest
 
+from agglorank import closed_forms
 from agglorank.agglomeration import phi
 from agglorank.errors import EdgeListError, FamilyParameterError
 from agglorank.families import (
+    FAMILIES,
     CometSpec,
     DoubleCometSpec,
     LollipopSpec,
@@ -139,8 +141,13 @@ class TestCrossFamilyIdentities:
 
 
 class TestLabeledSerialization:
-    def test_round_trip(self):
-        lg = generate(CometSpec(3, 4))
+    @pytest.mark.parametrize(
+        "spec",
+        [PathSpec(5), CometSpec(3, 4), DoubleCometSpec(12, 3, 4), LollipopSpec(10, 5)],
+        ids=lambda spec: spec.NAME,
+    )
+    def test_round_trip(self, spec):
+        lg = generate(spec)
         text = write_labeled(lg)
         back = read_labeled(text)
         assert back == lg
@@ -169,3 +176,12 @@ class TestLabeledSerialization:
         )
         with pytest.raises(EdgeListError, match="multiplicities"):
             read_labeled(bad)
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_registry_entry_is_complete(name):
+    cls = FAMILIES[name]
+    floor = cls.from_grid(**{param: lo for param, (lo, _) in cls.GRID.items()})
+    assert set(generate(floor).classes) == set(cls.ROLES)
+    assert callable(getattr(closed_forms, f"phi_{name}", None))
+    assert callable(getattr(closed_forms, f"imc_{name}", None))

@@ -208,6 +208,33 @@ class TestParseEdgeList:
         with pytest.raises(EdgeListError):
             parse_edge_list("")
 
+    def test_order_header_after_the_edges(self):
+        with pytest.raises(EdgeListError, match="outside declared order") as info:
+            parse_edge_list("0 5\n# n=3\n")
+        assert info.value.line == 1
+
+
+# Each kind of bad edge, as (word in the message, edges, index of the bad
+# edge, declared order).
+_BAD_EDGES = [
+    ("negative", [(0, 1), (-1, 2)], 1, None),
+    ("self-loop", [(0, 1), (1, 2), (2, 2)], 2, None),
+    ("duplicate", [(0, 1), (1, 2), (2, 1)], 2, None),
+    ("outside declared order", [(0, 1), (1, 5), (1, 2)], 1, 3),
+]
+
+
+@pytest.mark.parametrize("word,edges,bad,n", _BAD_EDGES, ids=[c[0] for c in _BAD_EDGES])
+def test_bad_edge_is_located_by_index_and_by_line(word, edges, bad, n):
+    with pytest.raises(EdgeListError, match=f"^edge {bad}: .*{word}"):
+        from_edge_list(edges, n=n)
+    text = "# a comment\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    if n is not None:
+        text += f"# n={n}\n"
+    with pytest.raises(EdgeListError, match=word) as info:
+        parse_edge_list(text)
+    assert info.value.line == bad + 2
+
 
 @st.composite
 def connected_graphs(draw, min_n=2, max_n=8):

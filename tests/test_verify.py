@@ -3,7 +3,13 @@
 import pytest
 
 from agglorank.errors import FormulaDomainError
-from agglorank.verify import VerifyReport, VerifyRow, resolve_ranges, verify_family
+from agglorank.verify import (
+    VerifyReport,
+    VerifyRow,
+    grid_specs,
+    resolve_ranges,
+    verify_family,
+)
 from fractions import Fraction
 
 
@@ -51,6 +57,22 @@ def test_below_formula_floor_is_rejected():
 def test_unknown_parameter_rejected():
     with pytest.raises(FormulaDomainError, match="no parameter"):
         verify_family("path", {"t": (4, 5)})
+
+
+@pytest.mark.parametrize(
+    "family,count,first,second,last",
+    [
+        ("path", 37, "P(4)", "P(5)", "P(40)"),
+        ("comet", 72, "C(3,4)", "C(3,5)", "C(10,12)"),
+        ("double_comet", 175, "DC(8,2,2)", "DC(9,2,2)", "DC(22,6,6)"),
+        ("lollipop", 63, "L(6,4)", "L(7,4)", "L(20,12)"),
+    ],
+)
+def test_default_grid_extent_and_order(family, count, first, second, last):
+    labels = [spec.label() for spec in grid_specs(family, resolve_ranges(family, None))]
+    assert len(labels) == count
+    assert labels[:2] == [first, second]
+    assert labels[-1] == last
 
 
 def test_empty_range_rejected():
