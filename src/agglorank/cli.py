@@ -18,13 +18,7 @@ from pathlib import Path
 
 from .agglomeration import imc_all, phi_and_length
 from .contraction import contract
-from .errors import (
-    ConnectivityError,
-    DegenerateOrderError,
-    EdgeListError,
-    FamilyParameterError,
-    FormulaDomainError,
-)
+from .errors import AggloRankError, ConnectivityError, EdgeListError
 from .families import FAMILIES, generate, scan_class_comments, write_labeled
 from .graph import bfs_distances, parse_edge_list, to_edge_list
 from .reports import FORMATS, render_phi, render_rank, render_verify
@@ -181,16 +175,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (EdgeListError, FamilyParameterError, FormulaDomainError,
-            DegenerateOrderError) as exc:
+    except (AggloRankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConnectivityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISCONNECTED
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_DISCONNECTED if isinstance(exc, ConnectivityError) else EXIT_USAGE
 
 
 def run() -> None:

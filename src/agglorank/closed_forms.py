@@ -86,15 +86,6 @@ def phi_double_comet(n: int, a: int, b: int) -> Fraction:
     return Fraction(3 * (n - 1), den)
 
 
-_DC_CLASSES = (
-    NodeClass.DC_LEAF_A,
-    NodeClass.DC_LEAF_B,
-    NodeClass.DC_END_A,
-    NodeClass.DC_END_B,
-    NodeClass.DC_INNER,
-)
-
-
 def _check_dc_domain(n: int, a: int, b: int) -> int:
     k = n - a - b
     if a < 2 or b < 2 or k < 4:

@@ -4,6 +4,12 @@ Rationals render as reduced "p/q" (bare "p" when the denominator is 1); the
 decimal column is display-only, rounded half-even to 6 places by exact integer
 arithmetic, and never participates in comparisons.  All renderings are pure
 functions of their inputs, so identical inputs give byte-identical output.
+
+One function, ``_render``, picks the format.  JSON is the result document
+alone.  The table is a grid of rows, with the lines that frame it (rank's
+``phi`` and ``L`` before it, verify's notes, violations and summary after it)
+printed as they are; CSV writes the same rows and turns each framing line
+into a ``# `` comment.  ``phi``'s table is ``key value`` lines, with no grid.
 """
 
 from __future__ import annotations
@@ -41,99 +47,72 @@ def _table(header: list[str], rows: list[list[str]]) -> str:
     return "".join(line + "\n" for line in out)
 
 
-def _csv(header: list[str], rows: list[list[str]], preamble: list[str] = ()) -> str:
-    buf = io.StringIO()
-    for line in preamble:
-        buf.write(line + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _render(fmt: str, doc: dict, header: list[str], rows: list[list[str]],
+            head: list[str] = (), tail: list[str] = ()) -> str:
+    """The one place that picks a format; see the module docstring for the rule."""
+    if fmt == "json":
+        return json.dumps(doc, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        body, mark = buf.getvalue(), "# "
+    else:
+        body, mark = _table(header, rows), ""
+    return ("".join(f"{mark}{line}\n" for line in head) + body
+            + "".join(f"{mark}{line}\n" for line in tail))
 
 
 def render_rank(report: RankReport, classes: dict[int, str] | None, fmt: str) -> str:
-    """Render a ranking; the class column appears only when classes are known."""
-    with_class = bool(classes)
-    phi_s = str(report.phi)
-    length_s = str(report.avg_path_length)
+    """Render a ranking; the class column appears only when classes are known.
 
-    def entry_cells(entry) -> list[str]:
-        cells = [str(entry.node)]
-        if with_class:
+    A node without a class shows as "-" in the table and CSV, and has no
+    "class" key in JSON.
+    """
+    header = ["node"] + (["class"] if classes else []) + ["imc", "imc_decimal"]
+    rows, items = [], []
+    for entry in report.entries:
+        cells, item = [str(entry.node)], {"node": entry.node}
+        if classes:
             cells.append(classes.get(entry.node, "-"))
-        cells += [str(entry.imc), decimal6(entry.imc)]
-        return cells
-
-    if fmt == "json":
-        doc: dict = {"phi": phi_s, "avg_path_length": length_s, "entries": []}
-        for entry in report.entries:
-            item: dict = {"node": entry.node}
-            if with_class and entry.node in classes:
+            if entry.node in classes:
                 item["class"] = classes[entry.node]
-            item["imc"] = str(entry.imc)
-            item["imc_decimal"] = decimal6(entry.imc)
-            doc["entries"].append(item)
-        return json.dumps(doc, indent=2) + "\n"
-
-    header = ["node"] + (["class"] if with_class else []) + ["imc", "imc_decimal"]
-    rows = [entry_cells(entry) for entry in report.entries]
-    if fmt == "csv":
-        return _csv(header, rows, preamble=[f"# phi {phi_s}", f"# L {length_s}"])
-    return f"phi {phi_s}\nL {length_s}\n" + _table(header, rows)
+        cells += [str(entry.imc), decimal6(entry.imc)]
+        item["imc"], item["imc_decimal"] = cells[-2:]
+        rows.append(cells)
+        items.append(item)
+    phi_s, length_s = str(report.phi), str(report.avg_path_length)
+    doc = {"phi": phi_s, "avg_path_length": length_s, "entries": items}
+    return _render(fmt, doc, header, rows, head=[f"phi {phi_s}", f"L {length_s}"])
 
 
 def render_phi(phi: Fraction, length: Fraction | None, fmt: str) -> str:
-    phi_s = str(phi)
-    if fmt == "json":
-        doc = {"phi": phi_s}
-        if length is not None:
-            doc["avg_path_length"] = str(length)
-        return json.dumps(doc, indent=2) + "\n"
-    if fmt == "csv":
-        header, row = ["phi"], [phi_s]
-        if length is not None:
-            header.append("L")
-            row.append(str(length))
-        return _csv(header, [row])
-    out = f"phi {phi_s}\n"
+    header, doc = ["phi"], {"phi": str(phi)}
     if length is not None:
-        out += f"L {length}\n"
-    return out
+        header.append("L")
+        doc["avg_path_length"] = str(length)
+    row = list(doc.values())
+    if fmt == "table":
+        return "".join(f"{key} {value}\n" for key, value in zip(header, row))
+    return _render(fmt, doc, header, [row])
 
 
 def render_verify(report: VerifyReport, fmt: str) -> str:
     header = ["spec", "class", "analytic", "engine", "match"]
-    rows = [
-        [row.spec, row.check, str(row.analytic), str(row.engine),
-         "yes" if row.match else "NO"]
-        for row in report.rows
-    ]
-    summary = f"summary total={report.total} mismatches={report.mismatches}"
-    if fmt == "json":
-        doc = {
-            "rows": [
-                {
-                    "spec": row.spec,
-                    "class": row.check,
-                    "analytic": str(row.analytic),
-                    "engine": str(row.engine),
-                    "match": row.match,
-                }
-                for row in report.rows
-            ],
-            "notes": list(report.notes),
-            "violations": list(report.violations),
-            "summary": {"total": report.total, "mismatches": report.mismatches},
-        }
-        return json.dumps(doc, indent=2) + "\n"
-    if fmt == "csv":
-        tail = [f"# note: {n}" for n in report.notes]
-        tail += [f"# violation: {v}" for v in report.violations]
-        tail.append(f"# {summary}")
-        return _csv(header, rows) + "".join(line + "\n" for line in tail)
-    out = _table(header, rows)
-    for note in report.notes:
-        out += f"note: {note}\n"
-    for violation in report.violations:
-        out += f"violation: {violation}\n"
-    return out + summary + "\n"
+    rows, items = [], []
+    for row in report.rows:
+        cells = [row.spec, row.check, str(row.analytic), str(row.engine)]
+        items.append(dict(zip(header, cells), match=row.match))
+        rows.append(cells + ["yes" if row.match else "NO"])
+    total, mismatches = report.total, report.mismatches
+    doc = {
+        "rows": items,
+        "notes": list(report.notes),
+        "violations": list(report.violations),
+        "summary": {"total": total, "mismatches": mismatches},
+    }
+    tail = [f"note: {note}" for note in report.notes]
+    tail += [f"violation: {violation}" for violation in report.violations]
+    tail.append(f"summary total={total} mismatches={mismatches}")
+    return _render(fmt, doc, header, rows, tail=tail)

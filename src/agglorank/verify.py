@@ -89,16 +89,13 @@ def grid_specs(family: str, ranges: dict[str, tuple[int, int]]) -> list[FamilySp
 
 
 def _ordering_checks(
-    spec: FamilySpec,
-    values: dict[NodeClass, Fraction],
-    notes: list[str],
-    violations: list[str],
+    spec: FamilySpec, values: dict[NodeClass, Fraction], report: VerifyReport
 ) -> None:
     family, label = spec.NAME, spec.label()
 
     def expect(cond: bool, description: str) -> None:
         if not cond:
-            violations.append(f"{label}: expected {description}")
+            report.violations.append(f"{label}: expected {description}")
 
     if family == "path":
         expect(
@@ -161,7 +158,7 @@ def _ordering_checks(
                 not clique > inner,
                 "the clique-over-inner ordering to fail at this known point",
             )
-            notes.append(
+            report.notes.append(
                 f"{label}: clique nodes do not outrank inner tail nodes here: "
                 f"imc(lp_clique)={clique}, imc(lp_path_inner)={inner}"
             )
@@ -169,32 +166,30 @@ def _ordering_checks(
             expect(clique > inner, "imc(clique) > imc(tail inner)")
 
 
-def _check_spec(spec: FamilySpec) -> tuple[list[VerifyRow], list[str], list[str]]:
+def _check_spec(spec: FamilySpec, report: VerifyReport) -> None:
     label, params = spec.label(), spec.params()
     lg = generate(spec)
-    report = imc_all(lg.graph)
-    imc_by_node = {entry.node: entry.imc for entry in report.entries}
+    ranking = imc_all(lg.graph)
+    imc_by_node = {entry.node: entry.imc for entry in ranking.entries}
 
     phi_form = getattr(cf, f"phi_{spec.NAME}")
     imc_form = getattr(cf, f"imc_{spec.NAME}")
-    rows = [VerifyRow(label, "phi", phi_form(*params), report.phi)]
-    notes: list[str] = []
-    violations: list[str] = []
+    report.rows.append(VerifyRow(label, "phi", phi_form(*params), ranking.phi))
 
     values: dict[NodeClass, Fraction] = {}
     for v, node_class in enumerate(lg.classes):
         seen = values.setdefault(node_class, imc_by_node[v])
         if seen != imc_by_node[v]:
-            violations.append(
+            report.violations.append(
                 f"{label}: engine imc differs between nodes of class {node_class.value}"
             )
     for node_class in spec.ROLES:
-        rows.append(
+        report.rows.append(
             VerifyRow(label, node_class.value, imc_form(*params, node_class), values[node_class])
         )
     if isinstance(spec, DoubleCometSpec):
         for node_class in spec.ROLES:
-            rows.append(
+            report.rows.append(
                 VerifyRow(
                     label,
                     node_class.value + "+condensed",
@@ -202,8 +197,7 @@ def _check_spec(spec: FamilySpec) -> tuple[list[VerifyRow], list[str], list[str]
                     values[node_class],
                 )
             )
-    _ordering_checks(spec, values, notes, violations)
-    return rows, notes, violations
+    _ordering_checks(spec, values, report)
 
 
 def verify_family(
@@ -219,8 +213,6 @@ def verify_family(
     """
     specs = grid_specs(family, resolve_ranges(family, ranges))
     report = VerifyReport(rows=[], notes=[], violations=[])
-    for rows, notes, violations in map(_check_spec, specs):
-        report.rows.extend(rows)
-        report.notes.extend(notes)
-        report.violations.extend(violations)
+    for spec in specs:
+        _check_spec(spec, report)
     return report
