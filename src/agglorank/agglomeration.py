@@ -6,7 +6,8 @@ arbitrary precision the arithmetic can never overflow or wrap.
 
 Importance follows the definition: each node is contracted and phi is taken
 of the result.  Every phi comes from one ``distance_sum``, which peels
-pendant trees and searches from all remaining sources at once.
+pendant trees and searches from all remaining sources at once, a node leaving
+the search once it has seen them all; connectivity shows in the same work.
 """
 
 from __future__ import annotations

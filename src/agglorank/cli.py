@@ -54,7 +54,7 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 def _read_graph(args: argparse.Namespace):
     text = Path(args.input).read_text()
-    return text, parse_edge_list(text)
+    return text, parse_edge_list(text, connected=True)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import re
 from collections import deque
 from functools import reduce
-from itertools import accumulate
-from operator import itemgetter, mul, or_
-from typing import Callable, Iterable, Iterator
+from itertools import accumulate, compress, count
+from operator import itemgetter, mul, or_, xor
+from typing import Callable, Iterable, Iterator, NoReturn
 
 from .errors import ConnectivityError, DegenerateOrderError, EdgeListError
 
@@ -126,8 +126,11 @@ def from_edge_list(edges: Iterable[tuple[int, int]], n: int | None = None) -> Gr
     return _build(*_validated(edges, lambda: n))
 
 
-def parse_edge_list(text: str) -> Graph:
-    """Parse the edge-list text format; errors carry the offending line number."""
+def parse_edge_list(text: str, *, connected: bool = False) -> Graph:
+    """Parse the edge-list text format; errors carry the offending line number.
+
+    With ``connected``, fewer than n - 1 edges fail before n nodes are allocated.
+    """
     declared_n: int | None = None
     lines: list[int] = []
 
@@ -156,7 +159,11 @@ def parse_edge_list(text: str) -> Graph:
             lines.append(line_no)
             yield u, v
 
-    return _build(*_validated(edges(), lambda: declared_n, lines.__getitem__))
+    n, pairs = _validated(edges(), lambda: declared_n, lines.__getitem__)
+    if connected and len(pairs) < n - 1:
+        raise ConnectivityError(
+            f"{len(pairs)} edges cannot connect {n} nodes (ids not dense?): a node is unreachable")
+    return _build(n, pairs)
 
 
 def to_edge_list(g: Graph) -> str:
@@ -213,6 +220,11 @@ def is_connected(g: Graph) -> bool:
     return all(d >= 0 for d in _bfs(g, 0))
 
 
+def _disconnected(g: Graph) -> NoReturn:
+    bfs_distances(g, 0)  # g is disconnected: the BFS raises, naming a node
+    raise AssertionError("a BFS reached every node of a disconnected graph")
+
+
 def distance_sum(g: Graph) -> int:
     """Total shortest-path length over all ordered node pairs.
 
@@ -223,16 +235,18 @@ def distance_sum(g: Graph) -> int:
     pairs inside a merged tree are counted as it grows.  A tree peels down to
     one node.  On what is left (the core, where no node is a leaf) every
     source is searched at once, with w bits for a source of weight w:
-    ``front[v]`` holds the sources whose distance to v is the current level.
-    A pair of core nodes x, y then adds w(x) * w(y) * d(x, y), and each core
-    node x adds s(x) * (n - w(x)) in both directions, since trees hang off
-    the core and no shortest path runs through one.  The n source bits go in
-    blocks of at most ``_BLOCK_BITS // core order``, so a list of bitsets
-    stays near 16 MiB.
+    ``front[v]`` holds the sources whose distance to v is the current level,
+    and a node that has seen every source leaves the search.  A pair of core
+    nodes x, y then adds w(x) * w(y) * d(x, y), and each core node x adds
+    s(x) * (n - w(x)) in both directions, since trees hang off the core and
+    no shortest path runs through one.  The n source bits go in blocks of at
+    most ``_BLOCK_BITS // core order``, so a list of bitsets stays near 16 MiB.
+    g is disconnected when a leaf or core node has no neighbor left, or when a
+    level reaches nothing while a node is still open; only then does a BFS
+    from node 0 run, to name an unreachable node in the ``ConnectivityError``.
     """
     if g.n < 2:
         raise DegenerateOrderError("distance sum requires at least two nodes")
-    bfs_distances(g, 0)  # connectivity, naming an unreachable node
     n, adj = g.n, g.adj
     degree = [len(nbrs) for nbrs in adj]
     weight = [1] * n
@@ -243,6 +257,8 @@ def distance_sum(g: Graph) -> int:
     leaves = [v for v in range(n) if degree[v] == 1]
     while leaves and remaining > 1:
         leaf = leaves.pop()
+        if not degree[leaf]:
+            _disconnected(g)
         alive[leaf] = False
         remaining -= 1
         u = next(w for w in adj[leaf] if alive[w])
@@ -256,41 +272,43 @@ def distance_sum(g: Graph) -> int:
     if remaining == 1:
         return total
     core = [v for v in range(n) if alive[v]]
-    index = {v: i for i, v in enumerate(core)}
-    core_adj = [[index[w] for w in adj[v] if alive[w]] for v in core]
-    weight = [weight[v] for v in core]
-    total += 2 * sum(spread[v] * (n - w) for v, w in zip(core, weight))
-    return total + _weighted_core_sum(core_adj, weight)
+    if not all(map(degree.__getitem__, core)):
+        _disconnected(g)
+    total += 2 * sum(spread[v] * (n - weight[v]) for v in core)
+    return total + _weighted_core_sum(g, core, weight)
 
 
 # Bits per source block times core order: 2^27 bits is 16 MiB per bitset list.
 _BLOCK_BITS = 1 << 27
 
 
-def _weighted_core_sum(adj: list[list[int]], weight: list[int]) -> int:
-    # Sum of w(x) * w(y) * d(x, y) over ordered pairs, by all-sources BFS in
-    # which source x owns w(x) bits, so a popcount weighs the sources; the
-    # weights' total is split into blocks of bit positions.
-    c = len(adj)
-    ends = list(accumulate(weight))
-    block = max(1, _BLOCK_BITS // c)
+def _weighted_core_sum(g: Graph, core: list[int], weight: list[int]) -> int:
+    # Sum of w(x) * w(y) * d(x, y) over ordered pairs of core nodes, by an
+    # all-sources BFS over g's ids (peeled nodes keep front 0) in which source
+    # x owns w(x) bits, so a popcount weighs the sources; the n bits are split
+    # into blocks of bit positions.  Only nodes with unseen sources are searched.
+    n, adj = g.n, g.adj
+    weights = [weight[x] for x in core]
+    ends = list(accumulate(weights))
+    block = max(1, _BLOCK_BITS // len(core))
     total = 0
-    for lo in range(0, ends[-1], block):
-        hi = lo + block
-        front = [0] * c
-        for x, (w, end) in enumerate(zip(weight, ends)):
-            first, last = max(end - w, lo), min(end, hi)
-            if first < last:
-                front[x] = (1 << last - lo) - (1 << first - lo)
-        seen = front[:]
-        level = 0
-        while True:
-            level += 1
-            front = [reduce(or_, map(front.__getitem__, nbrs)) & ~s
-                     for nbrs, s in zip(adj, seen)]
-            reached = sum(map(mul, weight, map(int.bit_count, front)))
-            if not reached:
+    for lo in range(0, n, block):
+        full = (1 << min(block, n - lo)) - 1
+        live = core
+        new = [((1 << end) - (1 << end - w)) >> lo & full for w, end in zip(weights, ends)]
+        unseen = [full ^ f for f in new]
+        for level in count(1):
+            front = [0] * n
+            for x, f in zip(live, new):
+                front[x] = f
+            live, unseen = list(compress(live, unseen)), list(filter(None, unseen))
+            if not live:
                 break
+            get = front.__getitem__
+            new = [reduce(or_, map(get, adj[x])) & u for x, u in zip(live, unseen)]
+            reached = sum(map(mul, map(weight.__getitem__, live), map(int.bit_count, new)))
+            if not reached:
+                _disconnected(g)
             total += level * reached
-            seen = [s | x for s, x in zip(seen, front)]
+            unseen = list(map(xor, unseen, new))
     return total

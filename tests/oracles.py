@@ -73,6 +73,14 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
     return from_edge_list(sorted(edges), n=n)
 
 
+def with_pendant_trees(rng: random.Random, g: Graph, extra: int) -> Graph:
+    """g with ``extra`` new nodes, each attached to a random earlier node."""
+    edges = list(g.edges())
+    for new in range(g.n, g.n + extra):
+        edges.append((rng.randrange(new), new))
+    return from_edge_list(edges, n=g.n + extra)
+
+
 def all_connected_labeled_graphs(n: int):
     """Yield every connected labeled graph on n nodes (feasible for n <= 6)."""
     pairs = list(combinations(range(n), 2))

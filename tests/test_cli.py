@@ -1,16 +1,19 @@
 """CLI behavior: subcommands, formats, exit codes, determinism."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
+from agglorank import graph
 from agglorank.cli import main
 from agglorank.reports import decimal6
 
 PATH4 = "0 1\n1 2\n2 3\n"
 K4 = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 DISCONNECTED = "0 1\n2 3\n"
+TWO_TRIANGLES = "0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n"
 
 
 def run(capsys, *argv):
@@ -204,6 +207,45 @@ class TestContract:
         source = write(tmp_path, "dis.edges", DISCONNECTED)
         code, _, _ = run(capsys, "contract", source, "--node", "0")
         assert code == 3
+
+
+class TestConnectivityPrecondition:
+    """rank, phi and contract need a connected graph, so they refuse one that
+    has fewer than n - 1 edges before allocating its n adjacency lists."""
+
+    ARGS = {"rank": (), "phi": (), "contract": ("--node", "0")}
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_large_id_in_a_tiny_file_exits_3_quickly(self, capsys, tmp_path, command):
+        source = write(tmp_path, "far.edges", "0 2000000")
+        started = time.perf_counter()
+        code, _, err = run(capsys, command, source, *self.ARGS[command])
+        assert time.perf_counter() - started < 0.5
+        assert code == 3
+        assert "ids not dense" in err and "unreachable" in err
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_huge_declared_order_exits_3_before_allocating(self, capsys, tmp_path,
+                                                           monkeypatch, command):
+        build = graph._build
+
+        def bounded_build(n, pairs):
+            if n > 10**6:
+                raise AssertionError(f"allocated the adjacency of {n} nodes")
+            return build(n, pairs)
+
+        monkeypatch.setattr(graph, "_build", bounded_build)
+        source = write(tmp_path, "huge.edges", "# n=1000000000000\n")
+        code, _, err = run(capsys, command, source, *self.ARGS[command])
+        assert code == 3
+        assert "ids not dense" in err
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_enough_edges_but_disconnected_names_the_node(self, capsys, tmp_path, command):
+        source = write(tmp_path, "two.edges", TWO_TRIANGLES)
+        code, _, err = run(capsys, command, source, *self.ARGS[command])
+        assert code == 3
+        assert err == "error: node 3 is unreachable from node 0\n"
 
 
 class TestVerify:

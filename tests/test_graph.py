@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from agglorank import graph
 from agglorank.errors import ConnectivityError, DegenerateOrderError, EdgeListError
+from agglorank.families import LollipopSpec, generate
 from agglorank.graph import (
     bfs_distances,
     degree,
@@ -18,7 +19,12 @@ from agglorank.graph import (
     to_edge_list,
 )
 
-from oracles import minplus_distance_matrix, oracle_distance_sum, random_connected_graph
+from oracles import (
+    minplus_distance_matrix,
+    oracle_distance_sum,
+    random_connected_graph,
+    with_pendant_trees,
+)
 
 
 def path(n):
@@ -136,14 +142,6 @@ class TestDistanceSum:
         assert distance_sum(path(n)) == n * (n * n - 1) // 3
 
 
-def _with_pendant_trees(rng, g, extra):
-    # Attach `extra` new nodes, each to a random earlier node.
-    edges = list(g.edges())
-    for new in range(g.n, g.n + extra):
-        edges.append((rng.randrange(new), new))
-    return from_edge_list(edges, n=g.n + extra)
-
-
 @pytest.mark.parametrize("block_bits", [1, 3, graph._BLOCK_BITS])
 def test_distance_sum_against_minplus_oracle(monkeypatch, block_bits):
     # Pendant trees give core nodes weights above 1; small blocks split the
@@ -153,8 +151,77 @@ def test_distance_sum_against_minplus_oracle(monkeypatch, block_bits):
     for _ in range(600):
         g = random_connected_graph(rng, rng.randint(2, 14))
         if rng.random() < 0.5:
-            g = _with_pendant_trees(rng, g, rng.randint(1, 20))
+            g = with_pendant_trees(rng, g, rng.randint(1, 20))
         assert distance_sum(g) == oracle_distance_sum(g)
+
+
+# Disconnected graphs that the distance sum finds at each of its points: the
+# peel (a leaf with no neighbor left), the core (a node with no neighbor) and
+# the search (a level reaches nothing while a node still misses a source).
+DISCONNECTED = {
+    "two-paths": from_edge_list([(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)]),
+    "isolated-node": parse_edge_list("# n=5\n1 2\n2 3\n1 3\n3 4\n"),
+    "two-cycles": from_edge_list([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)]),
+}
+
+
+@pytest.mark.parametrize("block_bits", [1, 3, graph._BLOCK_BITS])
+@pytest.mark.parametrize("name", sorted(DISCONNECTED))
+def test_disconnected_distance_sum_raises_what_a_bfs_raises(monkeypatch, name, block_bits):
+    g = DISCONNECTED[name]
+    with pytest.raises(ConnectivityError) as expected:
+        bfs_distances(g, 0)
+    monkeypatch.setattr(graph, "_BLOCK_BITS", block_bits)
+    with pytest.raises(ConnectivityError) as raised:
+        distance_sum(g)
+    assert str(raised.value) == str(expected.value)
+    assert raised.value.unreachable == expected.value.unreachable
+
+
+@pytest.mark.parametrize("block_bits", [1, 3, graph._BLOCK_BITS])
+def test_random_disconnected_distance_sums_raise_what_a_bfs_raises(monkeypatch, block_bits):
+    # Two random components, some with pendant trees, ids interleaved.
+    monkeypatch.setattr(graph, "_BLOCK_BITS", block_bits)
+    rng = random.Random(13)
+    for _ in range(200):
+        parts = [with_pendant_trees(rng, random_connected_graph(rng, rng.randint(1, 8)),
+                                    rng.randint(0, 4)) for _ in range(2)]
+        n = parts[0].n + parts[1].n
+        ids = rng.sample(range(n), n)
+        edges = [(ids[u], ids[v]) for u, v in parts[0].edges()]
+        edges += [(ids[parts[0].n + u], ids[parts[0].n + v]) for u, v in parts[1].edges()]
+        g = from_edge_list(edges, n=n)
+        with pytest.raises(ConnectivityError) as expected:
+            bfs_distances(g, 0)
+        with pytest.raises(ConnectivityError) as raised:
+            distance_sum(g)
+        assert (str(raised.value), raised.value.unreachable) == (
+            str(expected.value), expected.value.unreachable)
+
+
+def test_connected_distance_sum_runs_no_bfs(monkeypatch):
+    rng = random.Random(5)
+    single = from_edge_list([], n=1)
+    graphs = [path(2), path(9), complete(5), comet_3_4(),
+              generate(LollipopSpec(n=12, d=5)).graph, generate(LollipopSpec(n=9, d=7)).graph]
+    graphs += [with_pendant_trees(rng, single, rng.randint(1, 12)) for _ in range(20)]
+    graphs += [with_pendant_trees(rng, random_connected_graph(rng, rng.randint(2, 10)),
+                                  rng.randint(0, 8)) for _ in range(40)]
+    expected = [oracle_distance_sum(g) for g in graphs]
+
+    def no_bfs(*args):
+        raise AssertionError("distance_sum ran a BFS on a connected graph")
+
+    monkeypatch.setattr(graph, "bfs_distances", no_bfs)
+    monkeypatch.setattr(graph, "_bfs", no_bfs)
+    assert [distance_sum(g) for g in graphs] == expected
+
+
+def test_connected_parse_keeps_every_graph_with_enough_edges():
+    # Fewer than n - 1 edges are refused (tests/test_cli.py); the rest parse
+    # as without the check, disconnected ones included.
+    for text in ("# n=1\n", "0 1\n", "0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n"):
+        assert parse_edge_list(text, connected=True) == parse_edge_list(text)
 
 
 class TestSerialization:
