@@ -16,9 +16,9 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .agglomeration import imc_all, phi_and_length
+from .agglomeration import imc_all, phi_and_length, usable_cpus
 from .contraction import contract
-from .errors import AggloRankError, ConnectivityError, EdgeListError
+from .errors import AggloRankError, ConnectivityError, EdgeListError, FamilyParameterError
 from .families import FAMILIES, generate, scan_class_comments, write_labeled
 from .graph import bfs_distances, parse_edge_list, to_edge_list
 from .reports import FORMATS, render_phi, render_rank, render_verify
@@ -30,6 +30,10 @@ EXIT_DISCONNECTED = 3
 EXIT_MISMATCH = 4
 
 _RANGE = re.compile(r"(\d+)\.\.(\d+)$")
+
+# Nodes plus edges of the largest graph gen builds, counted from the spec before
+# anything is allocated; a graph at the limit fits in 1 GiB of address space.
+GEN_MAX_SIZE = 2_000_000
 
 # Family subcommands are the registry's names with hyphens.
 _FAMILY_BY_COMMAND = {name.replace("_", "-"): cls for name, cls in FAMILIES.items()}
@@ -60,6 +64,10 @@ def _read_graph(args: argparse.Namespace):
 def cmd_gen(args: argparse.Namespace) -> int:
     cls = _FAMILY_BY_COMMAND[args.family]
     spec = cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+    if spec.order + spec.size > GEN_MAX_SIZE:
+        raise FamilyParameterError(
+            f"{spec.label()} would have {spec.order} nodes and {spec.size} edges; "
+            f"gen builds at most {GEN_MAX_SIZE} nodes plus edges")
     _emit(args, write_labeled(generate(spec)))
     return EXIT_OK
 
@@ -70,7 +78,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     for v in classes:
         if v >= g.n:
             raise EdgeListError(f"class comment for unknown node {v}")
-    report = imc_all(g)
+    report = imc_all(g, jobs=args.jobs)
     _emit(args, render_rank(report, classes or None, args.format))
     return EXIT_OK
 
@@ -100,7 +108,7 @@ def cmd_contract(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     cls = _FAMILY_BY_COMMAND[args.family]
     ranges = {name: getattr(args, name) for name in cls.GRID if getattr(args, name) is not None}
-    report = verify_family(cls.NAME, ranges)
+    report = verify_family(cls.NAME, ranges, jobs=args.jobs)
     _emit(args, render_verify(report, args.format))
     return EXIT_MISMATCH if report.mismatches else EXIT_OK
 
@@ -113,10 +121,10 @@ def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=FORMATS, default="table")
 
 
-def _add_jobs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; the value changes neither "
-                        "output nor speed")
+def _add_jobs(p: argparse.ArgumentParser, default: int) -> None:
+    p.add_argument("--jobs", type=int, default=default,
+                   help="worker processes for the per-node contractions (default: "
+                        "the usable CPUs); the output is byte-identical for any value")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,6 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rank influential nodes by node contraction and network agglomeration.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    cpus = usable_cpus()
 
     gen = sub.add_parser("gen", help="generate a family graph as a labeled edge list")
     gen_sub = gen.add_subparsers(dest="family", required=True)
@@ -138,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     rank = sub.add_parser("rank", help="rank every node of an edge-list file")
     rank.add_argument("input")
     _add_format(rank)
-    _add_jobs(rank)
+    _add_jobs(rank, cpus)
     _add_output(rank)
     rank.set_defaults(func=cmd_rank)
 
@@ -162,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{name}", type=_range_arg, help=cls.GRID_HELP.get(name))
         p.set_defaults(func=cmd_verify)
         _add_format(p)
-        _add_jobs(p)
+        _add_jobs(p, cpus)
         _add_output(p)
 
     return parser

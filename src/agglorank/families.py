@@ -81,6 +81,11 @@ class FamilySpec:
     def order(self) -> int:
         return self.n
 
+    @property
+    def size(self) -> int:
+        """Number of edges: every family but the lollipop is a tree."""
+        return self.order - 1
+
     def params(self) -> tuple[int, ...]:
         """Field values in declaration order, as the closed forms take them."""
         return tuple(getattr(self, f.name) for f in fields(self))
@@ -235,6 +240,11 @@ class LollipopSpec(FamilySpec):
     @classmethod
     def from_grid(cls, d: int, nd: int) -> LollipopSpec:
         return cls(n=d + nd, d=d)
+
+    @property
+    def size(self) -> int:
+        clique = self.n - self.d
+        return self.n - 1 + clique * (clique - 1) // 2
 
     def build(self):
         d, m = self.d, self.n - self.d

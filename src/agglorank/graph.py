@@ -170,15 +170,12 @@ def to_edge_list(g: Graph) -> str:
     """Serialize canonically; round-trips through parse_edge_list.
 
     A "# n=<order>" header is emitted only when the edges alone do not pin the
-    order (isolated trailing nodes, or an edgeless single-node graph).
+    order, that is when the last node has no neighbor (isolated trailing
+    nodes, or an edgeless single-node graph).
     """
-    edge_pairs = list(g.edges())
-    lines = []
-    inferred = 1 + max(v for _, v in edge_pairs) if edge_pairs else 0
-    if inferred != g.n:
-        lines.append(f"# n={g.n}")
-    lines.extend(f"{u} {v}" for u, v in edge_pairs)
-    return "".join(line + "\n" for line in lines)
+    lines = [f"# n={g.n}\n"] if g.adj and not g.adj[-1] else []
+    lines += [f"{u} {v}\n" for u, nbrs in enumerate(g.adj) for v in nbrs if v > u]
+    return "".join(lines)
 
 
 def degree(g: Graph, v: int) -> int:

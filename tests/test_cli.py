@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from agglorank import graph
-from agglorank.cli import main
+from agglorank.cli import GEN_MAX_SIZE, main
+from agglorank.families import FAMILIES
 from agglorank.reports import decimal6
 
 PATH4 = "0 1\n1 2\n2 3\n"
@@ -52,6 +53,34 @@ class TestGen:
         code, _, err = run(capsys, "gen", "double-comet", "--n", "4", "--a", "2", "--b", "1")
         assert code == 2
         assert "n - a - b >= 2" in err
+
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        def build(spec):
+            raise AssertionError(f"{spec.label()} was built")
+
+        for cls in FAMILIES.values():
+            monkeypatch.setattr(cls, "build", build)
+
+    @pytest.mark.parametrize("argv", [
+        ("path", "--n", "300000000"),
+        ("lollipop", "--n", "100000", "--d", "2"),
+        ("path", "--n", str(GEN_MAX_SIZE // 2 + 1)),  # one over: n + (n - 1)
+    ])
+    def test_oversized_family_exits_2_before_building(self, capsys, no_build, argv):
+        code, out, err = run(capsys, "gen", *argv)
+        assert code == 2 and out == ""
+        assert f"gen builds at most {GEN_MAX_SIZE} nodes plus edges" in err
+        assert "Traceback" not in err
+
+    def test_family_at_the_limit_is_built(self, capsys, no_build):
+        with pytest.raises(AssertionError, match="was built"):
+            main(["gen", "path", "--n", str(GEN_MAX_SIZE // 2)])
+
+    def test_largest_family_in_use_is_admitted(self, capsys):
+        code, out, _ = run(capsys, "gen", "lollipop", "--n", "200", "--d", "20")
+        assert code == 0
+        assert sum(not line.startswith("#") for line in out.splitlines()) == 16_309
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "p.edges"

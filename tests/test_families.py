@@ -91,6 +91,7 @@ def test_class_of_out_of_range():
 def test_generated_graphs_are_connected_and_ordered(spec):
     lg = generate(spec)
     assert lg.graph.n == spec.order
+    assert lg.graph.edge_count() == spec.size
     assert is_connected(lg.graph)
     assert len(lg.classes) == lg.graph.n
 

@@ -10,6 +10,7 @@ from agglorank import graph
 from agglorank.errors import ConnectivityError, DegenerateOrderError, EdgeListError
 from agglorank.families import LollipopSpec, generate
 from agglorank.graph import (
+    Graph,
     bfs_distances,
     degree,
     distance_sum,
@@ -240,9 +241,30 @@ class TestSerialization:
         assert text == "# n=3\n0 1\n"
         assert parse_edge_list(text) == g
 
+    def test_isolated_inner_node_gets_no_header(self):
+        g = from_edge_list([(0, 2)], n=3)
+        assert to_edge_list(g) == "0 2\n"
+        assert parse_edge_list("0 2\n") == g
+
+    def test_edgeless_graph_is_only_a_header(self):
+        assert to_edge_list(from_edge_list([], n=3)) == "# n=3\n"
+
     def test_round_trip(self):
         g = comet_3_4()
         assert parse_edge_list(to_edge_list(g)) == g
+
+
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=30),
+       st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_serialization_matches_its_definition(pairs, spare):
+    # The header appears exactly when 1 + the largest id in an edge is not n.
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    inferred = 1 + max(v for _, v in edges) if edges else 0
+    n = max(inferred, 1) + spare
+    body = "".join(f"{u} {v}\n" for u, v in edges)
+    header = f"# n={n}\n" if inferred != n else ""
+    assert to_edge_list(from_edge_list(edges, n=n)) == header + body
 
 
 class TestParseEdgeList:
@@ -347,3 +369,18 @@ def test_random_generator_is_connected(seed):
     rng = random.Random(seed)
     g = random_connected_graph(rng, rng.randint(2, 9))
     assert is_connected(g)
+
+
+# Pieces of hostile edge-list text: ids, signs and underscores that int()
+# accepts, line breaks that str.splitlines() splits on, and non-ASCII digits.
+_TEXT_PIECES = list("0123456789 \t\n\r\x0b+-_#n=x") + ["# n=", "#n=", "٣", "１", "৫"]
+
+
+@given(st.lists(st.sampled_from(_TEXT_PIECES), max_size=40).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_parse_of_arbitrary_text_gives_a_graph_or_a_documented_error(text):
+    try:
+        g = parse_edge_list(text, connected=True)
+    except (EdgeListError, ConnectivityError):
+        return
+    assert isinstance(g, Graph) and g.n >= 1
