@@ -19,7 +19,7 @@ from pathlib import Path
 from .agglomeration import imc_all, phi_and_length, usable_cpus
 from .contraction import contract
 from .errors import AggloRankError, ConnectivityError, EdgeListError, FamilyParameterError
-from .families import FAMILIES, generate, scan_class_comments, write_labeled
+from .families import FAMILIES, MAX_SIZE, generate, scan_class_comments, write_labeled
 from .graph import bfs_distances, parse_edge_list, to_edge_list
 from .reports import FORMATS, render_phi, render_rank, render_verify
 from .verify import verify_family
@@ -30,10 +30,6 @@ EXIT_DISCONNECTED = 3
 EXIT_MISMATCH = 4
 
 _RANGE = re.compile(r"(\d+)\.\.(\d+)$")
-
-# Nodes plus edges of the largest graph gen builds, counted from the spec before
-# anything is allocated; a graph at the limit fits in 1 GiB of address space.
-GEN_MAX_SIZE = 2_000_000
 
 # Family subcommands are the registry's names with hyphens.
 _FAMILY_BY_COMMAND = {name.replace("_", "-"): cls for name, cls in FAMILIES.items()}
@@ -64,10 +60,10 @@ def _read_graph(args: argparse.Namespace):
 def cmd_gen(args: argparse.Namespace) -> int:
     cls = _FAMILY_BY_COMMAND[args.family]
     spec = cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
-    if spec.order + spec.size > GEN_MAX_SIZE:
+    if spec.order + spec.size > MAX_SIZE:
         raise FamilyParameterError(
             f"{spec.label()} would have {spec.order} nodes and {spec.size} edges; "
-            f"gen builds at most {GEN_MAX_SIZE} nodes plus edges")
+            f"gen builds at most {MAX_SIZE} nodes plus edges")
     _emit(args, write_labeled(generate(spec)))
     return EXIT_OK
 

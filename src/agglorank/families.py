@@ -3,10 +3,13 @@
 Each spec class is the one record of what its family is: its name, the
 abbreviation its labels use, its roles in verify row order, its default
 verify grid (whose lower bounds are the floors of the importance formulas),
-how a grid point maps to a spec, and its generator.  ``FAMILIES`` maps each
-name to its class; ``generate``, labeled I/O, ``verify`` and the CLI are all
-derived from it.  A family's closed forms are ``closed_forms.phi_<name>`` and
-``closed_forms.imc_<name>``, called with the spec's fields in order.
+how a grid point maps to a spec, its generator, and the paper's importance
+orderings between its roles (``expected_order()``, known exceptions
+included).  ``FAMILIES`` maps each name to its class; ``generate``, labeled
+I/O, ``verify`` and the CLI are all derived from it.  A family's closed forms
+are ``closed_forms.phi_<name>`` and ``closed_forms.imc_<name>``, called with
+the spec's fields in order, plus ``closed_forms.imc_<name>_<variant>`` for
+each further transcription named in ``IMC_VARIANTS``.
 
 Node numbering follows each family's conventional labeling so that ids, roles
 and figures line up, and is a stability guarantee:
@@ -56,6 +59,20 @@ class NodeClass(enum.Enum):
 
 _CLASS_BY_LABEL = {c.value: c for c in NodeClass}
 
+# Nodes plus edges of the largest graph, or grid of graphs, that gen and
+# verify build, counted from the specs before anything is allocated; a graph
+# at the limit fits in 1 GiB of address space.
+MAX_SIZE = 2_000_000
+
+# One expected ordering: imc(role) <relation> imc(role), where the relation is
+# ">", "==" or "not >" (a known exception to an ordering that holds elsewhere).
+Relation = tuple[NodeClass, str, NodeClass]
+
+
+def _chain(*roles: NodeClass) -> list[Relation]:
+    """Each role outranks the next."""
+    return [(upper, ">", lower) for upper, lower in zip(roles, roles[1:])]
+
 
 class FamilySpec:
     """Base of the family spec dataclasses.
@@ -63,7 +80,11 @@ class FamilySpec:
     A subclass sets ``NAME``, ``ABBREV`` (for ``label()``), ``ROLES`` (the
     verify row order), ``GRID`` (default verify ranges per grid parameter,
     lower bounds being the formula floors) and, where a grid parameter needs
-    one, its help text in ``GRID_HELP``; it implements ``build()``.
+    one, its help text in ``GRID_HELP``; it implements ``build()`` and
+    ``expected_order()``.  ``IMC_VARIANTS`` names further transcriptions of
+    the importance formulas that verify checks too; a family whose orderings
+    have a "not >" exception sets the note verify prints for it in
+    ``EXCEPTION_NOTE``.
     """
 
     NAME: ClassVar[str]
@@ -71,6 +92,8 @@ class FamilySpec:
     ROLES: ClassVar[tuple[NodeClass, ...]]
     GRID: ClassVar[dict[str, tuple[int, int]]]
     GRID_HELP: ClassVar[dict[str, str]] = {}
+    IMC_VARIANTS: ClassVar[tuple[str, ...]] = ()
+    EXCEPTION_NOTE: ClassVar[str]
 
     @classmethod
     def from_grid(cls, **point: int) -> FamilySpec:
@@ -101,6 +124,10 @@ class FamilySpec:
         """Edges and one role per node, in the family's numbering."""
         raise NotImplementedError
 
+    def expected_order(self) -> list[Relation]:
+        """The paper's importance orderings between roles at this spec."""
+        raise NotImplementedError
+
 
 @dataclass(frozen=True)
 class PathSpec(FamilySpec):
@@ -119,6 +146,9 @@ class PathSpec(FamilySpec):
         classes = [NodeClass.PATH_INNER] * self.n
         classes[0] = classes[-1] = NodeClass.PATH_END
         return edges, classes
+
+    def expected_order(self):
+        return _chain(NodeClass.PATH_INNER, NodeClass.PATH_END)
 
 
 @dataclass(frozen=True)
@@ -158,6 +188,10 @@ class CometSpec(FamilySpec):
             classes[0] = NodeClass.COMET_PATH_END
         return edges, classes
 
+    def expected_order(self):
+        return _chain(NodeClass.COMET_CENTER, NodeClass.COMET_PATH_INNER,
+                      NodeClass.COMET_PATH_END, NodeClass.COMET_STAR_LEAF)
+
 
 @dataclass(frozen=True)
 class DoubleCometSpec(FamilySpec):
@@ -173,6 +207,7 @@ class DoubleCometSpec(FamilySpec):
     )
     GRID = {"a": (2, 6), "b": (2, 6), "k": (4, 10)}
     GRID_HELP = {"k": "connecting path length"}
+    IMC_VARIANTS = ("condensed",)
 
     n: int
     a: int
@@ -211,6 +246,17 @@ class DoubleCometSpec(FamilySpec):
         classes[last] = NodeClass.DC_END_B
         return edges, classes
 
+    def expected_order(self):
+        # The end with more pendants comes first and its leaves come last.
+        end_a, end_b, leaf_a, leaf_b = (
+            NodeClass.DC_END_A, NodeClass.DC_END_B, NodeClass.DC_LEAF_A, NodeClass.DC_LEAF_B)
+        if self.a == self.b:
+            return [(end_a, "==", end_b), (leaf_a, "==", leaf_b),
+                    *_chain(end_a, NodeClass.DC_INNER, leaf_a)]
+        if self.b > self.a:
+            end_a, end_b, leaf_a, leaf_b = end_b, end_a, leaf_b, leaf_a
+        return _chain(end_a, end_b, NodeClass.DC_INNER, leaf_b, leaf_a)
+
 
 @dataclass(frozen=True)
 class LollipopSpec(FamilySpec):
@@ -225,6 +271,9 @@ class LollipopSpec(FamilySpec):
     )
     GRID = {"d": (4, 12), "nd": (2, 8)}
     GRID_HELP = {"nd": "clique size"}
+    # (n, d) points where clique nodes do not outrank inner tail nodes.
+    EXCEPTIONS = {(7, 4), (8, 5)}
+    EXCEPTION_NOTE = "clique nodes do not outrank inner tail nodes here"
 
     n: int
     d: int
@@ -256,6 +305,16 @@ class LollipopSpec(FamilySpec):
         classes[0] = NodeClass.LP_PATH_END
         classes[junction] = NodeClass.LP_JUNCTION
         return edges, classes
+
+    def expected_order(self):
+        junction, inner, end, clique = (NodeClass.LP_JUNCTION, NodeClass.LP_PATH_INNER,
+                                         NodeClass.LP_PATH_END, NodeClass.LP_CLIQUE)
+        # Inner tail nodes outrank a clique of two; a larger one outranks them,
+        # except at EXCEPTIONS.
+        relation = "not >" if (self.n, self.d) in self.EXCEPTIONS else ">"
+        return [(junction, ">", inner), (junction, ">", end), (junction, ">", clique),
+                (inner, ">", end), (clique, ">", end),
+                (inner, ">", clique) if self.n == self.d + 2 else (clique, relation, inner)]
 
 
 FAMILIES: dict[str, type[FamilySpec]] = {

@@ -3,33 +3,27 @@
 For every family spec in a parameter grid the harness generates the graph,
 runs the full engine ranking, and compares graph-level agglomeration plus the
 per-role importance values against the analytic formulas, demanding exact
-rational equality.  What a family is (its grid, roles and generator) comes
-from the registry in ``families``; its closed forms are looked up by name as
-``closed_forms.phi_<name>`` and ``closed_forms.imc_<name>`` at call time.
-The harness also checks the paper's expected importance orderings between
-roles; the two lollipop parameter points where the generic clique-vs-inner
-ordering is known to break are reported as notes with the exact values rather
-than counted as mismatches.
+rational equality.  Everything about a family comes from its spec class in
+``families``: grid, roles and generator, the further transcriptions of its
+formulas (``IMC_VARIANTS``), and the paper's importance orderings between its
+roles (``expected_order()``).  Its closed forms are looked up by name as
+``closed_forms.phi_<name>`` and ``closed_forms.imc_<name>[_<variant>]`` at
+call time.  A broken ordering is a violation; a known exception ("not >") is
+reported as a note with the exact values rather than counted as a mismatch.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 from . import closed_forms as cf
 from .agglomeration import RankReport, rank_graphs
-from .errors import FormulaDomainError
-from .families import (
-    FAMILIES,
-    DoubleCometSpec,
-    FamilySpec,
-    LabeledGraph,
-    LollipopSpec,
-    NodeClass,
-    generate,
-)
+from .errors import FamilyParameterError, FormulaDomainError
+from .families import FAMILIES, MAX_SIZE, FamilySpec, LabeledGraph, NodeClass, generate
 
 # Default grids; lower bounds double as the hard floor below which the
 # importance formulas are not established and verification refuses to run.
@@ -37,8 +31,7 @@ DEFAULT_GRIDS: dict[str, dict[str, tuple[int, int]]] = {
     name: cls.GRID for name, cls in FAMILIES.items()
 }
 
-# Lollipop points where clique nodes do not outrank inner tail nodes.
-LOLLIPOP_EXCEPTIONS = {(7, 4), (8, 5)}
+_RELATIONS = {">": operator.gt, "==": operator.eq, "not >": operator.le}
 
 
 @dataclass(frozen=True)
@@ -72,9 +65,9 @@ def resolve_ranges(
     family: str, requested: dict[str, tuple[int, int]] | None
 ) -> dict[str, tuple[int, int]]:
     """Merge requested ranges over the family defaults, enforcing the floors."""
-    if family not in DEFAULT_GRIDS:
+    if family not in FAMILIES:
         raise FormulaDomainError(f"unknown family {family!r}")
-    grid = dict(DEFAULT_GRIDS[family])
+    grid = dict(FAMILIES[family].GRID)
     for name, (lo, hi) in (requested or {}).items():
         if name not in grid:
             raise FormulaDomainError(f"family {family} has no parameter {name!r}")
@@ -90,88 +83,44 @@ def resolve_ranges(
 
 
 def grid_specs(family: str, ranges: dict[str, tuple[int, int]]) -> list[FamilySpec]:
-    """Specs over the product of the ranges, in the family's grid order."""
+    """Specs over the product of the ranges, in the family's grid order.
+
+    A grid whose graphs sum to more than ``MAX_SIZE`` nodes plus edges is
+    refused as soon as the running sum passes the limit.
+    """
     cls = FAMILIES[family]
     spans = [range(ranges[name][0], ranges[name][1] + 1) for name in cls.GRID]
-    return [cls.from_grid(**dict(zip(cls.GRID, point))) for point in product(*spans)]
+    # Each graph has a node, so the number of points bounds the sum from below
+    # and a huge range is refused before product() lists it.
+    size = math.prod(map(len, spans))
+    specs = []
+    if size <= MAX_SIZE:
+        size = 0
+        for point in product(*spans):
+            spec = cls.from_grid(**dict(zip(cls.GRID, point)))
+            size += spec.order + spec.size
+            if size > MAX_SIZE:
+                break
+            specs.append(spec)
+    if size > MAX_SIZE:
+        raise FamilyParameterError(
+            f"the {family} grid has more than {MAX_SIZE} nodes plus edges; "
+            f"verify builds at most {MAX_SIZE}")
+    return specs
 
 
 def _ordering_checks(
     spec: FamilySpec, values: dict[NodeClass, Fraction], report: VerifyReport
 ) -> None:
-    family, label = spec.NAME, spec.label()
-
-    def expect(cond: bool, description: str) -> None:
-        if not cond:
-            report.violations.append(f"{label}: expected {description}")
-
-    if family == "path":
-        expect(
-            values[NodeClass.PATH_INNER] > values[NodeClass.PATH_END],
-            "imc(inner) > imc(end)",
-        )
-    elif family == "comet":
-        chain = (
-            NodeClass.COMET_CENTER,
-            NodeClass.COMET_PATH_INNER,
-            NodeClass.COMET_PATH_END,
-            NodeClass.COMET_STAR_LEAF,
-        )
-        for upper, lower in zip(chain, chain[1:]):
-            expect(values[upper] > values[lower], f"imc({upper.value}) > imc({lower.value})")
-    elif family == "double_comet":
-        assert isinstance(spec, DoubleCometSpec)
-        end_a = values[NodeClass.DC_END_A]
-        end_b = values[NodeClass.DC_END_B]
-        inner = values[NodeClass.DC_INNER]
-        leaf_a = values[NodeClass.DC_LEAF_A]
-        leaf_b = values[NodeClass.DC_LEAF_B]
-        if spec.a > spec.b:
-            for cond, desc in (
-                (end_a > end_b, "imc(end A) > imc(end B)"),
-                (end_b > inner, "imc(end B) > imc(inner)"),
-                (inner > leaf_b, "imc(inner) > imc(leaf B)"),
-                (leaf_b > leaf_a, "imc(leaf B) > imc(leaf A)"),
-            ):
-                expect(cond, desc + " when a > b")
-        elif spec.b > spec.a:
-            for cond, desc in (
-                (end_b > end_a, "imc(end B) > imc(end A)"),
-                (end_a > inner, "imc(end A) > imc(inner)"),
-                (inner > leaf_a, "imc(inner) > imc(leaf A)"),
-                (leaf_a > leaf_b, "imc(leaf A) > imc(leaf B)"),
-            ):
-                expect(cond, desc + " when b > a")
-        else:
-            expect(end_a == end_b, "imc(end A) == imc(end B) when a == b")
-            expect(leaf_a == leaf_b, "imc(leaf A) == imc(leaf B) when a == b")
-            expect(end_a > inner, "imc(ends) > imc(inner) when a == b")
-            expect(inner > leaf_a, "imc(inner) > imc(leaves) when a == b")
-    else:
-        assert isinstance(spec, LollipopSpec)
-        junction = values[NodeClass.LP_JUNCTION]
-        inner = values[NodeClass.LP_PATH_INNER]
-        end = values[NodeClass.LP_PATH_END]
-        clique = values[NodeClass.LP_CLIQUE]
-        expect(junction > inner, "imc(junction) > imc(tail inner)")
-        expect(junction > end, "imc(junction) > imc(tail end)")
-        expect(junction > clique, "imc(junction) > imc(clique)")
-        expect(inner > end, "imc(tail inner) > imc(tail end)")
-        expect(clique > end, "imc(clique) > imc(tail end)")
-        clique_size = spec.n - spec.d
-        if clique_size == 2:
-            expect(inner > clique, "imc(tail inner) > imc(clique) when the clique has 2 nodes")
-        elif (spec.n, spec.d) in LOLLIPOP_EXCEPTIONS:
-            expect(
-                not clique > inner,
-                "the clique-over-inner ordering to fail at this known point",
-            )
+    label = spec.label()
+    for upper, relation, lower in spec.expected_order():
+        if not _RELATIONS[relation](values[upper], values[lower]):
+            report.violations.append(
+                f"{label}: expected imc({upper.value}) {relation} imc({lower.value})")
+        if relation == "not >":
             report.notes.append(
-                f"{label}: clique nodes do not outrank inner tail nodes here: "
-                f"imc(lp_clique)={clique}, imc(lp_path_inner)={inner}"
-            )
-        else:
-            expect(clique > inner, "imc(clique) > imc(tail inner)")
+                f"{label}: {spec.EXCEPTION_NOTE}: imc({upper.value})={values[upper]}, "
+                f"imc({lower.value})={values[lower]}")
 
 
 def _check_spec(lg: LabeledGraph, ranking: RankReport, report: VerifyReport) -> None:
@@ -180,7 +129,6 @@ def _check_spec(lg: LabeledGraph, ranking: RankReport, report: VerifyReport) -> 
     imc_by_node = {entry.node: entry.imc for entry in ranking.entries}
 
     phi_form = getattr(cf, f"phi_{spec.NAME}")
-    imc_form = getattr(cf, f"imc_{spec.NAME}")
     report.rows.append(VerifyRow(label, "phi", phi_form(*params), ranking.phi))
 
     values: dict[NodeClass, Fraction] = {}
@@ -190,20 +138,12 @@ def _check_spec(lg: LabeledGraph, ranking: RankReport, report: VerifyReport) -> 
             report.violations.append(
                 f"{label}: engine imc differs between nodes of class {node_class.value}"
             )
-    for node_class in spec.ROLES:
-        report.rows.append(
-            VerifyRow(label, node_class.value, imc_form(*params, node_class), values[node_class])
-        )
-    if isinstance(spec, DoubleCometSpec):
+    for variant in ("", *spec.IMC_VARIANTS):
+        imc_form = getattr(cf, "_".join(filter(None, ("imc", spec.NAME, variant))))
+        suffix = f"+{variant}" if variant else ""
         for node_class in spec.ROLES:
-            report.rows.append(
-                VerifyRow(
-                    label,
-                    node_class.value + "+condensed",
-                    cf.imc_double_comet_condensed(*params, node_class),
-                    values[node_class],
-                )
-            )
+            report.rows.append(VerifyRow(label, node_class.value + suffix,
+                                         imc_form(*params, node_class), values[node_class]))
     _ordering_checks(spec, values, report)
 
 

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from agglorank import graph
-from agglorank.cli import GEN_MAX_SIZE, main
-from agglorank.families import FAMILIES
+from agglorank import agglomeration, graph
+from agglorank.cli import main
+from agglorank.families import FAMILIES, MAX_SIZE
 from agglorank.reports import decimal6
+from agglorank.verify import grid_specs
 
 PATH4 = "0 1\n1 2\n2 3\n"
 K4 = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
@@ -27,6 +28,15 @@ def write(tmp_path, name, text):
     target = tmp_path / name
     target.write_text(text)
     return str(target)
+
+
+@pytest.fixture
+def no_build(monkeypatch):
+    def build(spec):
+        raise AssertionError(f"{spec.label()} was built")
+
+    for cls in FAMILIES.values():
+        monkeypatch.setattr(cls, "build", build)
 
 
 class TestGen:
@@ -54,28 +64,20 @@ class TestGen:
         assert code == 2
         assert "n - a - b >= 2" in err
 
-    @pytest.fixture
-    def no_build(self, monkeypatch):
-        def build(spec):
-            raise AssertionError(f"{spec.label()} was built")
-
-        for cls in FAMILIES.values():
-            monkeypatch.setattr(cls, "build", build)
-
     @pytest.mark.parametrize("argv", [
         ("path", "--n", "300000000"),
         ("lollipop", "--n", "100000", "--d", "2"),
-        ("path", "--n", str(GEN_MAX_SIZE // 2 + 1)),  # one over: n + (n - 1)
+        ("path", "--n", str(MAX_SIZE // 2 + 1)),  # one over: n + (n - 1)
     ])
     def test_oversized_family_exits_2_before_building(self, capsys, no_build, argv):
         code, out, err = run(capsys, "gen", *argv)
         assert code == 2 and out == ""
-        assert f"gen builds at most {GEN_MAX_SIZE} nodes plus edges" in err
+        assert f"gen builds at most {MAX_SIZE} nodes plus edges" in err
         assert "Traceback" not in err
 
     def test_family_at_the_limit_is_built(self, capsys, no_build):
         with pytest.raises(AssertionError, match="was built"):
-            main(["gen", "path", "--n", str(GEN_MAX_SIZE // 2)])
+            main(["gen", "path", "--n", str(MAX_SIZE // 2)])
 
     def test_largest_family_in_use_is_admitted(self, capsys):
         code, out, _ = run(capsys, "gen", "lollipop", "--n", "200", "--d", "20")
@@ -155,17 +157,20 @@ class TestRank:
         code, _, err = run(capsys, "rank", str(tmp_path / "nope.edges"))
         assert code == 2
 
-    def test_deterministic_across_jobs(self, capsys, tmp_path):
+    def test_deterministic_across_jobs(self, capsys, tmp_path, cpus, forks):
+        cpus(2)
         target = tmp_path / "dc.edges"
-        main(["gen", "double-comet", "--n", "9", "--a", "2", "--b", "3",
+        main(["gen", "double-comet", "--n", "80", "--a", "2", "--b", "3",
               "--output", str(target)])
         capsys.readouterr()
+        assert 80 * 80 >= agglomeration._FORK_MIN_WORK
         outputs = set()
         for jobs in ("1", "1", "4"):
             code, out, _ = run(capsys, "rank", str(target), "--jobs", jobs)
             assert code == 0
             outputs.add(out)
         assert len(outputs) == 1
+        assert len(forks) == 1
 
     def test_bad_jobs(self, capsys, tmp_path):
         source = write(tmp_path, "p4.edges", PATH4)
@@ -306,14 +311,32 @@ class TestVerify:
         assert doc["summary"] == {"total": 9, "mismatches": 0}
         assert all(row["match"] for row in doc["rows"])
 
-    def test_deterministic_across_jobs(self, capsys):
+    def test_deterministic_across_jobs(self, capsys, cpus, forks):
+        cpus(3)
+        specs = grid_specs("comet", {"s": (3, 4), "t": (4, 20)})
+        assert sum(spec.order**2 for spec in specs) >= agglomeration._FORK_MIN_WORK
         outputs = set()
         for jobs in ("1", "3"):
-            code, out, _ = run(capsys, "verify", "comet", "--s", "3..4", "--t", "4..5",
+            code, out, _ = run(capsys, "verify", "comet", "--s", "3..4", "--t", "4..20",
                                "--jobs", jobs)
             assert code == 0
             outputs.add(out)
         assert len(outputs) == 1
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("path", "--n", "4..20000"),
+        ("path", "--n", "4..1000000000000"),
+        ("path", "--n", "1000001"),  # one over: n + (n - 1)
+        ("lollipop", "--d", "4", "--nd", "2000"),  # one graph of about 2 M edges
+        ("comet", "--s", "3..2000", "--t", "4..2000"),  # more points than the limit
+    ])
+    def test_oversized_grid_exits_2_before_building(self, capsys, no_build, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: the ")
+        assert f"nodes plus edges; verify builds at most {MAX_SIZE}" in err
+        assert "Traceback" not in err
 
     def test_bad_range_syntax(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -1,7 +1,8 @@
 """The fork-based split of the per-node contractions (``--jobs``).
 
 Every input here is above the size below which ranking stays serial, so the
-split really forks; inputs below it must never fork.
+split really forks; inputs below it must never fork.  The ``cpus`` and
+``forks`` fixtures are in ``conftest.py``.
 """
 
 import os
@@ -34,32 +35,6 @@ INPUTS = {
     "P(250)": generate(PathSpec(250)).graph,
     "lollipop(80,20)": generate(LollipopSpec(80, 20)).graph,
 }
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """Pretend the process may run on k CPUs."""
-
-    def set_cpus(k: int) -> None:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
-
-    return set_cpus
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Real forks, recorded by pid in the parent."""
-    pids = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
 
 
 def assert_reaped(pids):

@@ -1,11 +1,15 @@
-"""Verification harness: row shapes, range policing, parallel determinism."""
+"""Verification harness: row shapes, range policing, orderings, the size
+limit, a family added from outside, parallel determinism."""
 
 import pytest
 
+from agglorank import agglomeration, closed_forms
 from agglorank.errors import FormulaDomainError
+from agglorank.families import FAMILIES, MAX_SIZE, PathSpec
 from agglorank.verify import (
     VerifyReport,
     VerifyRow,
+    _ordering_checks,
     grid_specs,
     resolve_ranges,
     verify_family,
@@ -86,9 +90,14 @@ def test_ranges_may_extend_upward():
     assert report.mismatches == 0
 
 
-def test_parallel_report_matches_serial():
-    serial = verify_family("comet", {"s": (3, 5), "t": (4, 6)})
-    parallel = verify_family("comet", {"s": (3, 5), "t": (4, 6)}, jobs=4)
+def test_parallel_report_matches_serial(cpus, forks):
+    cpus(4)
+    ranges = {"s": (3, 5), "t": (4, 16)}
+    specs = grid_specs("comet", ranges)
+    assert sum(spec.order**2 for spec in specs) >= agglomeration._FORK_MIN_WORK
+    serial = verify_family("comet", ranges)
+    parallel = verify_family("comet", ranges, jobs=4)
+    assert len(forks) == 3
     assert serial.rows == parallel.rows
     assert serial.notes == parallel.notes
     assert serial.violations == parallel.violations
@@ -100,3 +109,65 @@ def test_mismatch_accounting():
     report = VerifyReport(rows=[good, bad], notes=[], violations=["X: ordering"])
     assert report.total == 2
     assert report.mismatches == 2
+
+
+def test_grid_at_the_size_limit_is_admitted():
+    # P(500000) and P(500001) have 999,999 + 1,000,001 nodes plus edges.
+    specs = grid_specs("path", {"n": (500_000, 500_001)})
+    assert sum(spec.order + spec.size for spec in specs) == MAX_SIZE
+    assert [spec.label() for spec in specs] == ["P(500000)", "P(500001)"]
+
+
+def closed_form_values(spec):
+    imc_form = getattr(closed_forms, f"imc_{spec.NAME}")
+    return {role: imc_form(*spec.params(), role) for role in spec.ROLES}
+
+
+def broken(values, upper, relation, lower):
+    """Values that contradict one expected relation."""
+    values = dict(values)
+    if relation == ">":
+        values[upper], values[lower] = values[lower], values[upper]
+    else:  # "==" and "not >" break once the upper role outranks the lower
+        values[upper] = values[lower] + 1
+    return values
+
+
+@pytest.mark.parametrize("family,kinds", [
+    ("path", {">"}),
+    ("comet", {">"}),
+    ("double_comet", {">", "=="}),
+    ("lollipop", {">", "not >"}),
+])
+def test_every_expected_relation_fires(family, kinds):
+    seen = set()
+    for spec in grid_specs(family, resolve_ranges(family, None)):
+        values = closed_form_values(spec)
+        report = VerifyReport(rows=[], notes=[], violations=[])
+        _ordering_checks(spec, values, report)
+        assert report.violations == []
+        for upper, relation, lower in spec.expected_order():
+            seen.add(relation)
+            report = VerifyReport(rows=[], notes=[], violations=[])
+            _ordering_checks(spec, broken(values, upper, relation, lower), report)
+            wanted = f"{spec.label()}: expected imc({upper.value}) {relation} imc({lower.value})"
+            assert wanted in report.violations
+    assert seen == kinds
+
+
+def test_a_new_family_needs_no_verify_edit(monkeypatch):
+    class TwinPathSpec(PathSpec):
+        NAME, ABBREV = "twin_path", "TP"
+        IMC_VARIANTS = ("again",)
+
+    monkeypatch.setitem(FAMILIES, TwinPathSpec.NAME, TwinPathSpec)
+    for name, form in (("phi_twin_path", closed_forms.phi_path),
+                       ("imc_twin_path", closed_forms.imc_path),
+                       ("imc_twin_path_again", closed_forms.imc_path)):
+        monkeypatch.setattr(closed_forms, name, form, raising=False)
+    report = verify_family("twin_path", {"n": (4, 8)})
+    assert report.mismatches == 0
+    assert report.total == 5 * 5  # phi + two classes + two "again" rows per spec
+    assert [row.check for row in report.rows[:5]] == [
+        "phi", "path_end", "path_inner", "path_end+again", "path_inner+again"]
+    assert report.rows[0].spec == "TP(4)"
