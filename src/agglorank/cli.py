@@ -53,7 +53,10 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def _read_graph(args: argparse.Namespace):
-    text = Path(args.input).read_text()
+    try:
+        text = Path(args.input).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise EdgeListError(f"{args.input}: not UTF-8 text ({exc})") from None
     return text, parse_edge_list(text, connected=True)
 
 
@@ -87,7 +90,7 @@ def cmd_phi(args: argparse.Namespace) -> int:
 
 
 def cmd_contract(args: argparse.Namespace) -> int:
-    _, g = _read_graph(args)
+    g = _read_graph(args)[1]
     if not 0 <= args.node < g.n:
         print(f"error: node {args.node} out of range for graph of order {g.n}",
               file=sys.stderr)
@@ -95,9 +98,10 @@ def cmd_contract(args: argparse.Namespace) -> int:
     if g.n >= 2:
         bfs_distances(g, 0)  # connectivity precondition, names an unreachable node
     result = contract(g, args.node)
-    lines = [f"# merged {result.merged_into}"]
-    lines += [f"# map {old} {new}" for old, new in sorted(result.old_to_new.items())]
-    _emit(args, "".join(line + "\n" for line in lines) + to_edge_list(result.graph))
+    del g  # the input graph is not needed to write the result
+    header = [f"# merged {result.merged_into}\n"]
+    header += [f"# map {old} {new}\n" for old, new in result.old_to_new.items()]
+    _emit(args, "".join(header) + to_edge_list(result.graph))
     return EXIT_OK
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 
 from .errors import DegenerateOrderError
 from .graph import Graph, _check_node
@@ -14,7 +15,8 @@ class ContractionResult:
 
     ``graph`` has order n - deg(v).  ``merged_into`` is the id of the merged
     node in the new graph, and ``old_to_new`` maps each surviving old id to
-    its new id (the contracted node and its neighbors have no entry).
+    its new id (the contracted node and its neighbors have no entry); it
+    iterates in ascending old-id order.
     """
 
     graph: Graph
@@ -35,21 +37,27 @@ def contract(g: Graph, v: int) -> ContractionResult:
     if g.n < 2:
         raise DegenerateOrderError("cannot contract a node of a 1-node graph")
     _check_node(g, v)
-    removed = set(g.adj[v])
+    adj = g.adj
+    removed = set(adj[v])
     removed.add(v)
-    survivors = [u for u in range(g.n) if u not in removed]
-    old_to_new = {old: new for new, old in enumerate(survivors)}
+    survivors = list(filterfalse(removed.__contains__, range(g.n)))
     merged = len(survivors)
-    # Renumbering keeps survivor order and the merged node comes last, so
-    # each list is born sorted.
-    adj: list[tuple[int, ...]] = []
+    # new_of renumbers every old id: survivors in order, all of S to merged.
+    # Survivor order is kept and merged is the largest id, so each list is
+    # born sorted once its copies of merged are moved to the end as one.
+    new_of = [merged] * g.n
+    for new, old in enumerate(survivors):
+        new_of[old] = new
+    renumber = new_of.__getitem__
+    rows: list[tuple[int, ...]] = []
     touching: list[int] = []
     for new, old in enumerate(survivors):
-        nbrs = [old_to_new[w] for w in g.adj[old] if w not in removed]
-        if len(nbrs) < len(g.adj[old]):
-            nbrs.append(merged)
+        nbrs = tuple(list(map(renumber, adj[old])))
+        if merged in nbrs:
+            nbrs = (*[w for w in nbrs if w != merged], merged)
             touching.append(new)
-        adj.append(tuple(nbrs))
-    adj.append(tuple(touching))
-    contracted = Graph(merged + 1, tuple(adj))
+        rows.append(nbrs)
+    rows.append(tuple(touching))
+    contracted = Graph(merged + 1, tuple(rows))
+    old_to_new = dict(zip(survivors, range(merged)))
     return ContractionResult(graph=contracted, merged_into=merged, old_to_new=old_to_new)

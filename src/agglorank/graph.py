@@ -4,7 +4,9 @@ The edge-list text format is one edge per line ("u v", decimal ids), '#'
 comment lines, blank lines ignored.  An optional "# n=<order>" comment fixes
 the order explicitly, which is the only way to represent nodes that appear in
 no edge.  Canonical output sorts edges by (min id, max id) with the smaller
-id first on each line.
+id first on each line.  Plain text (only "u v" lines of ASCII digits and one
+space) parses in bulk; anything else, or plain text with a fault, goes line
+by line, which gives the same graph and is the only path that raises.
 """
 
 from __future__ import annotations
@@ -13,12 +15,14 @@ import re
 from collections import deque
 from functools import reduce
 from itertools import accumulate, compress, count
-from operator import itemgetter, mul, or_, xor
+from operator import eq, itemgetter, mul, or_, xor
 from typing import Callable, Iterable, Iterator, NoReturn
 
 from .errors import ConnectivityError, DegenerateOrderError, EdgeListError
 
 _ORDER_HEADER = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
+# One or more "u v" lines of ASCII digits, the last newline optional.
+_PLAIN = re.compile(r"(?:[0-9]+ [0-9]+\n)*[0-9]+ [0-9]+\n?")
 
 
 class Graph:
@@ -68,7 +72,7 @@ def _build(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     for u, v in pairs:
         adj[u].append(v)
         adj[v].append(u)
-    return Graph(n, tuple(tuple(sorted(nbrs)) for nbrs in adj))
+    return Graph(n, tuple(map(tuple, map(sorted, adj))))
 
 
 def _validated(
@@ -130,7 +134,33 @@ def parse_edge_list(text: str, *, connected: bool = False) -> Graph:
     """Parse the edge-list text format; errors carry the offending line number.
 
     With ``connected``, fewer than n - 1 edges fail before n nodes are allocated.
+    Plain text takes a bulk path with the same result; the line path decides
+    every other text and raises every error.
     """
+    return _parse_plain(text, connected) or _parse_lines(text, connected)
+
+
+def _parse_plain(text: str, connected: bool) -> Graph | None:
+    # The graph of plain text, by one split; None whenever the text is not
+    # plain or holds a fault, so that the line path names it.
+    if not _PLAIN.fullmatch(text):
+        return None
+    try:
+        ids = list(map(int, text.split()))
+    except ValueError:  # an id longer than int() accepts
+        return None
+    us, vs = ids[0::2], ids[1::2]
+    n = max(ids) + 1
+    if any(map(eq, us, vs)) or (connected and len(us) < n - 1):
+        return None
+    # u * n + v stands for the canonical key (u, v), u < v < n.
+    if len({u * n + v if u < v else v * n + u for u, v in zip(us, vs)}) < len(us):
+        return None
+    return _build(n, zip(us, vs))
+
+
+def _parse_lines(text: str, connected: bool) -> Graph:
+    # The parser of record: line by line, every fault named with its line.
     declared_n: int | None = None
     lines: list[int] = []
 

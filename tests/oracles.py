@@ -99,6 +99,25 @@ def all_connected_labeled_graphs(n: int):
             yield g
 
 
+def contraction_by_definition(g: Graph, v: int) -> tuple[Graph, int, dict[int, int]]:
+    """Contract S = N[v] by mapping the edge set: (graph, merged id, old -> new).
+
+    Every node of S becomes one node, edges inside S vanish, parallel edges
+    collapse, and survivors are renumbered in ascending order with the merged
+    node last.  Built from the edge set alone, not from adjacency rows.
+    """
+    s = {v, *g.adj[v]}
+    survivors = sorted(set(range(g.n)) - s)
+    old_to_new = {old: new for new, old in enumerate(survivors)}
+    merged = len(survivors)
+    edges = set()
+    for a, b in g.edges():
+        x, y = old_to_new.get(a, merged), old_to_new.get(b, merged)
+        if x != y:
+            edges.add((min(x, y), max(x, y)))
+    return from_edge_list(sorted(edges), n=merged + 1), merged, old_to_new
+
+
 def distance_signature(g: Graph) -> tuple:
     """Canonical degree-and-distance signature; equal for isomorphic graphs,
     and distinguishing in practice for the small structured families here."""

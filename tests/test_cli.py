@@ -1,6 +1,9 @@
 """CLI behavior: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -215,6 +218,12 @@ class TestContract:
         assert "# merged 2" in out
         assert "# map 2 0" in out and "# map 3 1" in out
 
+    def test_whole_output_with_map_lines_in_old_id_order(self, capsys, tmp_path):
+        source = write(tmp_path, "p6.edges", "0 1\n1 2\n2 3\n3 4\n4 5\n")
+        code, out, _ = run(capsys, "contract", source, "--node", "2")
+        assert code == 0
+        assert out == "# merged 3\n# map 0 0\n# map 4 1\n# map 5 2\n0 3\n1 2\n1 3\n"
+
     def test_comet_center_to_path(self, capsys, tmp_path):
         target = tmp_path / "comet.edges"
         main(["gen", "comet", "--s", "3", "--t", "4", "--output", str(target)])
@@ -280,6 +289,33 @@ class TestConnectivityPrecondition:
         code, _, err = run(capsys, command, source, *self.ARGS[command])
         assert code == 3
         assert err == "error: node 3 is unreachable from node 0\n"
+
+
+class TestEncoding:
+    """rank, phi and contract read their input as UTF-8."""
+
+    ARGS = TestConnectivityPrecondition.ARGS
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_non_utf8_file_exits_2_naming_the_path(self, capsys, tmp_path, command):
+        source = tmp_path / "bytes.edges"
+        source.write_bytes(b"\xff\xfe0 1\n")
+        code, out, err = run(capsys, command, str(source), *self.ARGS[command])
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: {source}: not UTF-8 text ('utf-8' codec can't decode "
+                       "byte 0xff in position 0: invalid start byte)\n")
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_utf8_is_read_whatever_the_locale(self, tmp_path, command):
+        source = tmp_path / "accents.edges"
+        source.write_bytes("# caf\u00e9 \u2014 \u0663\n0 1\n1 2\n".encode())
+        ascii_locale = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+                        "PYTHONCOERCECLOCALE": "0"}
+        proc = subprocess.run([sys.executable, "-m", "agglorank", command, str(source),
+                               *self.ARGS[command]], capture_output=True, env=ascii_locale,
+                              timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 class TestVerify:

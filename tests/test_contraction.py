@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agglorank.contraction import contract
 from agglorank.errors import DegenerateOrderError
@@ -16,7 +18,12 @@ from agglorank.families import (
 )
 from agglorank.graph import degree, from_edge_list, is_connected
 
-from oracles import distance_signature, random_connected_graph
+from oracles import (
+    contraction_by_definition,
+    distance_signature,
+    random_connected_graph,
+    with_pendant_trees,
+)
 
 
 def path(n):
@@ -86,6 +93,52 @@ def test_renumbering_is_ascending_with_merged_last():
     assert result.old_to_new == {4: 0, 5: 1}
     assert result.merged_into == 2
     assert list(result.graph.edges()) == [(0, 1), (0, 2)]
+
+
+def test_old_to_new_iterates_in_ascending_old_id_order():
+    # The CLI writes "# map" lines in this order without sorting.
+    rng = random.Random(11)
+    for _ in range(100):
+        g = random_connected_graph(rng, rng.randint(2, 12))
+        for v in range(g.n):
+            old_ids = list(contract(g, v).old_to_new)
+            assert old_ids == sorted(old_ids)
+
+
+def relabeled(rng, g):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return from_edge_list([(perm[u], perm[v]) for u, v in g.edges()], n=g.n)
+
+
+@st.composite
+def contraction_inputs(draw):
+    """Graphs with shuffled ids: random ones with pendant trees, cliques with
+    tails, complete graphs (where S is every node) and complete bipartite
+    graphs (where every survivor touches S more than once)."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "clique with tail", "complete", "bipartite"]))
+    if kind == "random":
+        core = random_connected_graph(rng, draw(st.integers(2, 9)))
+        g = with_pendant_trees(rng, core, draw(st.integers(0, 6)))
+    elif kind == "clique with tail":
+        g = generate(LollipopSpec(draw(st.integers(3, 10)), 2)).graph
+        g = with_pendant_trees(rng, g, draw(st.integers(0, 4)))
+    elif kind == "complete":
+        g = complete(draw(st.integers(2, 7)))
+    else:
+        a, b = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+        g = from_edge_list([(i, a + j) for i in range(a) for j in range(b)])
+    return relabeled(rng, g)
+
+
+@given(contraction_inputs())
+@settings(max_examples=200, deadline=None)
+def test_contraction_matches_its_definition_at_every_node(g):
+    for v in range(g.n):
+        result = contract(g, v)
+        assert (result.graph, result.merged_into, result.old_to_new) == \
+            contraction_by_definition(g, v)
 
 
 def test_order_decrement_and_invariants_on_random_graphs():

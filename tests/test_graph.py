@@ -1,6 +1,7 @@
 """Graph core: parsing, degrees, connectivity, BFS, distance sums."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -374,13 +375,110 @@ def test_random_generator_is_connected(seed):
 # Pieces of hostile edge-list text: ids, signs and underscores that int()
 # accepts, line breaks that str.splitlines() splits on, and non-ASCII digits.
 _TEXT_PIECES = list("0123456789 \t\n\r\x0b+-_#n=x") + ["# n=", "#n=", "٣", "１", "৫"]
+_REAL_BUILD = graph._build
+
+
+class _Unbuilt(Exception):
+    pass
+
+
+def _bounded_build(n, pairs):
+    # Random digits can name an order far too large to allocate.
+    if n > 10_000:
+        raise _Unbuilt(n)
+    return _REAL_BUILD(n, pairs)
+
+
+def _outcome(parse, text, connected):
+    """The graph a parser returns, or what it raises: type, message and line."""
+    with mock.patch.object(graph, "_build", _bounded_build):
+        try:
+            return parse(text, connected=connected)
+        except (EdgeListError, ConnectivityError, _Unbuilt) as exc:
+            return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def assert_paths_agree(text):
+    for connected in (False, True):
+        assert (_outcome(parse_edge_list, text, connected)
+                == _outcome(graph._parse_lines, text, connected))
 
 
 @given(st.lists(st.sampled_from(_TEXT_PIECES), max_size=40).map("".join))
 @settings(max_examples=300, deadline=None)
 def test_parse_of_arbitrary_text_gives_a_graph_or_a_documented_error(text):
+    assert_paths_agree(text)
     try:
         g = parse_edge_list(text, connected=True)
     except (EdgeListError, ConnectivityError):
         return
     assert isinstance(g, Graph) and g.n >= 1
+
+
+# Plain lines, sometimes with a fault or a separator that is not plain.
+_EDGE = st.tuples(st.integers(0, 12), st.integers(0, 12))
+_SEPARATORS = st.sampled_from([" ", " ", " ", "\t", "  "])
+_ENDINGS = st.sampled_from(["\n", "\n", "\n", "\r\n", ""])
+
+
+@st.composite
+def plain_texts(draw):
+    edges = draw(st.lists(_EDGE, max_size=20))
+    return "".join(f"{u}{draw(_SEPARATORS)}{v}{draw(_ENDINGS)}" for u, v in edges)
+
+
+@given(plain_texts())
+@settings(max_examples=300, deadline=None)
+def test_bulk_path_raises_nothing_and_agrees_with_the_line_path(text):
+    assert_paths_agree(text)
+    for connected in (False, True):
+        g = graph._parse_plain(text, connected)
+        if g is not None:
+            assert g == graph._parse_lines(text, connected)
+
+
+def test_plain_text_takes_the_bulk_path(monkeypatch):
+    def no_lines(text, connected):
+        raise AssertionError("plain text went line by line")
+
+    monkeypatch.setattr(graph, "_parse_lines", no_lines)
+    assert parse_edge_list("0 1\n1 2\n2 0\n3 2", connected=True) == from_edge_list(
+        [(0, 1), (1, 2), (0, 2), (2, 3)])
+    assert parse_edge_list(to_edge_list(path(500)), connected=True) == path(500)
+
+
+# Plain text with a fault, as (text, connected, error type, message, line).
+_PLAIN_FAULTS = [
+    ("0 1\n1 1\n1 2\n", False, EdgeListError, "line 2: self-loop at node 1", 2),
+    ("0 1\n1 2\n2 1\n", False, EdgeListError, "line 3: duplicate edge 2 1", 3),
+    ("0 1\n1 2\n1 0", True, EdgeListError, "line 3: duplicate edge 1 0", 3),
+    ("0 1\n1 " + "9" * 5000 + "\n", False, EdgeListError,
+     "line 2: non-integer node id in '1 " + "9" * 5000 + "'", 2),
+    ("0 1\n2 3\n", True, ConnectivityError,
+     "2 edges cannot connect 4 nodes (ids not dense?): a node is unreachable", None),
+    ("0 2000000", True, ConnectivityError,
+     "1 edges cannot connect 2000001 nodes (ids not dense?): a node is unreachable", None),
+    ("", False, EdgeListError, "no edges and no declared order; graph order unknown", None),
+    ("0 1 2\n3\n", False, EdgeListError, "line 1: expected two node ids, got '0 1 2'", 1),
+]
+
+
+@pytest.mark.parametrize("text,connected,kind,message,line", _PLAIN_FAULTS,
+                         ids=["self-loop", "reversed duplicate", "duplicate, no newline",
+                              "5000 digits", "too few edges", "far id", "empty",
+                              "two lines, four ids"])
+def test_plain_text_with_a_fault_is_named_by_the_line_path(text, connected, kind,
+                                                           message, line):
+    assert graph._parse_plain(text, connected) is None
+    with pytest.raises(kind) as info:
+        parse_edge_list(text, connected=connected)
+    assert (str(info.value), getattr(info.value, "line", None)) == (message, line)
+    assert_paths_agree(text)
+
+
+@pytest.mark.parametrize("text", ["0 1\r\n1 2\r\n", "0\t1\n1\t2\n", "0 1\n1 2",
+                                  "0  1\n1 2\n", " 0 1\n1 2\n", "0 1\n\n1 2\n",
+                                  "01 2\n1 0\n"])
+def test_near_plain_text_gives_the_same_graph(text):
+    assert parse_edge_list(text, connected=True) == path(3)
+    assert_paths_agree(text)
