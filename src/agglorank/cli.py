@@ -46,10 +46,13 @@ def _range_arg(text: str) -> tuple[int, int]:
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
+    # Output is UTF-8, as input is, whatever the locale.
     if getattr(args, "output", None):
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+        Path(args.output).write_text(text, encoding="utf-8")
+        return
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8")
+    sys.stdout.write(text)
 
 
 def _read_graph(args: argparse.Namespace):
@@ -101,7 +104,9 @@ def cmd_contract(args: argparse.Namespace) -> int:
     del g  # the input graph is not needed to write the result
     header = [f"# merged {result.merged_into}\n"]
     header += [f"# map {old} {new}\n" for old, new in result.old_to_new.items()]
-    _emit(args, "".join(header) + to_edge_list(result.graph))
+    text = "".join(header) + to_edge_list(result.graph)
+    del header, result  # nor is the graph once its text is built: writing encodes a copy
+    _emit(args, text)
     return EXIT_OK
 
 

@@ -51,13 +51,14 @@ def contract(g: Graph, v: int) -> ContractionResult:
     renumber = new_of.__getitem__
     rows: list[tuple[int, ...]] = []
     touching: list[int] = []
-    for new, old in enumerate(survivors):
+    for old in survivors:
         nbrs = tuple(list(map(renumber, adj[old])))
         if merged in nbrs:
             nbrs = (*[w for w in nbrs if w != merged], merged)
-            touching.append(new)
+            touching.append(new_of[old])
         rows.append(nbrs)
     rows.append(tuple(touching))
     contracted = Graph(merged + 1, tuple(rows))
-    old_to_new = dict(zip(survivors, range(merged)))
+    # The new ids are new_of's own int objects, shared with the rows.
+    old_to_new = dict(zip(survivors, map(renumber, survivors)))
     return ContractionResult(graph=contracted, merged_into=merged, old_to_new=old_to_new)

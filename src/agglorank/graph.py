@@ -5,7 +5,9 @@ comment lines, blank lines ignored.  An optional "# n=<order>" comment fixes
 the order explicitly, which is the only way to represent nodes that appear in
 no edge.  Canonical output sorts edges by (min id, max id) with the smaller
 id first on each line.  Plain text (only "u v" lines of ASCII digits and one
-space) parses in bulk; anything else, or plain text with a fault, goes line
+space) parses in bulk, checked and split one block of lines at a time, with
+one int object per node; it declines ids at or above a bound taken from the
+line count.  Anything else, plain text with a fault, or such an id goes line
 by line, which gives the same graph and is the only path that raises.
 """
 
@@ -15,7 +17,7 @@ import re
 from collections import deque
 from functools import reduce
 from itertools import accumulate, compress, count
-from operator import eq, itemgetter, mul, or_, xor
+from operator import itemgetter, mul, or_, xor
 from typing import Callable, Iterable, Iterator, NoReturn
 
 from .errors import ConnectivityError, DegenerateOrderError, EdgeListError
@@ -23,6 +25,11 @@ from .errors import ConnectivityError, DegenerateOrderError, EdgeListError
 _ORDER_HEADER = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
 # One or more "u v" lines of ASCII digits, the last newline optional.
 _PLAIN = re.compile(r"(?:[0-9]+ [0-9]+\n)*[0-9]+ [0-9]+\n?")
+# Plain text is checked and split in blocks of about this many characters,
+# each ending at a newline, so the regex and the split hold one block at a time.
+_BLOCK_CHARS = 1 << 14
+# to_edge_list joins the lines of this many nodes at a time.
+_WRITE_NODES = 4096
 
 
 class Graph:
@@ -72,7 +79,15 @@ def _build(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     for u, v in pairs:
         adj[u].append(v)
         adj[v].append(u)
-    return Graph(n, tuple(map(tuple, map(sorted, adj))))
+    return _frozen(adj)
+
+
+def _frozen(adj: list) -> Graph:
+    # Sort each list in place and swap in its tuple, one list at a time.
+    for v, nbrs in enumerate(adj):
+        nbrs.sort()
+        adj[v] = tuple(nbrs)
+    return Graph(len(adj), tuple(adj))
 
 
 def _validated(
@@ -141,22 +156,41 @@ def parse_edge_list(text: str, *, connected: bool = False) -> Graph:
 
 
 def _parse_plain(text: str, connected: bool) -> Graph | None:
-    # The graph of plain text, by one split; None whenever the text is not
-    # plain or holds a fault, so that the line path names it.
-    if not _PLAIN.fullmatch(text):
+    # The graph of plain text, one block of lines at a time; None whenever
+    # the text is not plain or holds a fault, so that the line path names it.
+    # An id at or above the bound would leave a node in no edge (or, under
+    # connected, too few edges), so the table of ids never outgrows the text.
+    lines = text.count("\n") + 1
+    bound = lines + 1 if connected else 2 * lines
+    node: list[int] = []  # node[i] is i: one int object per node
+    adj: list[list[int]] = []
+    m = start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(text)
+        if not _PLAIN.fullmatch(text, start, end):
+            return None
+        try:
+            ids = list(map(int, text[start:end].split()))
+        except ValueError:  # an id longer than int() accepts
+            return None
+        top = max(ids)
+        if top >= bound:
+            return None
+        if top >= len(node):
+            adj += [[] for _ in range(len(node), top + 1)]
+            node += range(len(node), top + 1)
+        pairs = map(node.__getitem__, ids)
+        for u, v in zip(pairs, pairs):
+            adj[u].append(v)
+            adj[v].append(u)
+        m += len(ids) // 2
+        start = end
+    if not m or (connected and m < len(node) - 1):
         return None
-    try:
-        ids = list(map(int, text.split()))
-    except ValueError:  # an id longer than int() accepts
+    # A self-loop or a duplicate leaves a repeat in some neighbour list.
+    if sum(map(len, map(set, adj))) != 2 * m:
         return None
-    us, vs = ids[0::2], ids[1::2]
-    n = max(ids) + 1
-    if any(map(eq, us, vs)) or (connected and len(us) < n - 1):
-        return None
-    # u * n + v stands for the canonical key (u, v), u < v < n.
-    if len({u * n + v if u < v else v * n + u for u, v in zip(us, vs)}) < len(us):
-        return None
-    return _build(n, zip(us, vs))
+    return _frozen(adj)
 
 
 def _parse_lines(text: str, connected: bool) -> Graph:
@@ -203,9 +237,12 @@ def to_edge_list(g: Graph) -> str:
     order, that is when the last node has no neighbor (isolated trailing
     nodes, or an edgeless single-node graph).
     """
-    lines = [f"# n={g.n}\n"] if g.adj and not g.adj[-1] else []
-    lines += [f"{u} {v}\n" for u, nbrs in enumerate(g.adj) for v in nbrs if v > u]
-    return "".join(lines)
+    adj = g.adj
+    blocks = [f"# n={g.n}\n"] if adj and not adj[-1] else []
+    for lo in range(0, g.n, _WRITE_NODES):
+        rows = enumerate(adj[lo:lo + _WRITE_NODES], lo)
+        blocks.append("".join([f"{u} {v}\n" for u, nbrs in rows for v in nbrs if v > u]))
+    return "".join(blocks)
 
 
 def degree(g: Graph, v: int) -> int:

@@ -306,16 +306,35 @@ class TestEncoding:
         assert err == (f"error: {source}: not UTF-8 text ('utf-8' codec can't decode "
                        "byte 0xff in position 0: invalid start byte)\n")
 
+    ASCII_LOCALE = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+                    "PYTHONCOERCECLOCALE": "0"}
+
+    def run_in_ascii_locale(self, *argv):
+        return subprocess.run([sys.executable, "-m", "agglorank", *argv], capture_output=True,
+                              env=self.ASCII_LOCALE, timeout=60)
+
     @pytest.mark.parametrize("command", sorted(ARGS))
     def test_utf8_is_read_whatever_the_locale(self, tmp_path, command):
         source = tmp_path / "accents.edges"
         source.write_bytes("# caf\u00e9 \u2014 \u0663\n0 1\n1 2\n".encode())
-        ascii_locale = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
-                        "PYTHONCOERCECLOCALE": "0"}
-        proc = subprocess.run([sys.executable, "-m", "agglorank", command, str(source),
-                               *self.ARGS[command]], capture_output=True, env=ascii_locale,
-                              timeout=60)
+        proc = self.run_in_ascii_locale(command, str(source), *self.ARGS[command])
         assert (proc.returncode, proc.stderr) == (0, b"")
+
+    def test_utf8_is_written_whatever_the_locale(self, tmp_path):
+        source = tmp_path / "classes.edges"
+        source.write_bytes("# class 0 caf\u00e9\n0 1\n1 2\n".encode())
+        expected = ("phi 1/4\n"
+                    "L 4/3\n"
+                    "node  class  imc  imc_decimal\n"
+                    "1     -      3/4  0.750000\n"
+                    "0     caf\u00e9   1/2  0.500000\n"
+                    "2     -      1/2  0.500000\n").encode()
+        proc = self.run_in_ascii_locale("rank", str(source))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b"")
+        target = tmp_path / "ranking.txt"
+        proc = self.run_in_ascii_locale("rank", str(source), "--output", str(target))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert target.read_bytes() == expected
 
 
 class TestVerify:

@@ -1,6 +1,7 @@
 """Graph core: parsing, degrees, connectivity, BFS, distance sums."""
 
 import random
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from agglorank import graph
+from agglorank.contraction import contract
 from agglorank.errors import ConnectivityError, DegenerateOrderError, EdgeListError
 from agglorank.families import LollipopSpec, generate
 from agglorank.graph import (
@@ -482,3 +484,76 @@ def test_plain_text_with_a_fault_is_named_by_the_line_path(text, connected, kind
 def test_near_plain_text_gives_the_same_graph(text):
     assert parse_edge_list(text, connected=True) == path(3)
     assert_paths_agree(text)
+
+
+# Block sizes that put a block boundary inside almost any short text: one line
+# per block, and blocks of about two lines.
+_SMALL_BLOCKS = [1, 7]
+
+
+@pytest.mark.parametrize("block_chars", _SMALL_BLOCKS)
+@given(text=plain_texts())
+@settings(max_examples=300, deadline=None)
+def test_bulk_path_agrees_with_the_line_path_across_blocks(block_chars, text):
+    with mock.patch.object(graph, "_BLOCK_CHARS", block_chars):
+        assert_paths_agree(text)
+        for connected in (False, True):
+            g = graph._parse_plain(text, connected)
+            if g is not None:
+                assert g == graph._parse_lines(text, connected)
+
+
+@pytest.mark.parametrize("block_chars", _SMALL_BLOCKS)
+@pytest.mark.parametrize("text,connected,kind,message,line", _PLAIN_FAULTS,
+                         ids=["self-loop", "reversed duplicate", "duplicate, no newline",
+                              "5000 digits", "too few edges", "far id", "empty",
+                              "two lines, four ids"])
+def test_plain_faults_across_blocks(monkeypatch, block_chars, text, connected, kind,
+                                    message, line):
+    monkeypatch.setattr(graph, "_BLOCK_CHARS", block_chars)
+    test_plain_text_with_a_fault_is_named_by_the_line_path(text, connected, kind, message,
+                                                           line)
+
+
+@pytest.mark.parametrize("block_chars", [*_SMALL_BLOCKS, graph._BLOCK_CHARS])
+def test_ids_at_the_bound_go_line_by_line(monkeypatch, block_chars):
+    # The bound is lines + 1 under connected and 2 * lines otherwise, with
+    # lines = newlines + 1.
+    monkeypatch.setattr(graph, "_BLOCK_CHARS", block_chars)
+    assert graph._parse_plain("0 3\n", True) is None
+    with pytest.raises(ConnectivityError, match="1 edges cannot connect 4 nodes"):
+        parse_edge_list("0 3\n", connected=True)
+    assert graph._parse_plain("0 9\n1 2\n", False) is None
+    assert parse_edge_list("0 9\n1 2\n") == from_edge_list([(0, 9), (1, 2)])
+    assert graph._parse_plain("0 6\n1 2\n", False) is None  # 6 = 2 * 3 lines
+    # Just below the bound the bulk path builds the isolated nodes itself.
+    assert graph._parse_plain("0 3\n", False) == from_edge_list([(0, 3)])
+    assert graph._parse_plain("0 5\n1 2\n", False) == from_edge_list([(0, 5), (1, 2)])
+    for text in ("0 3\n", "0 9\n1 2\n", "0 6\n1 2\n", "0 5\n1 2\n"):
+        assert_paths_agree(text)
+
+
+def _shared_ints(g):
+    return len({id(x) for nbrs in g.adj for x in nbrs})
+
+
+def test_plain_parse_memory_stays_near_the_graph():
+    rng = random.Random("parse-memory")
+    n, m = 20_000, 40_000
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    text = "".join(f"{u} {v}\n" for u, v in rng.sample(sorted(edges), m))
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text, connected=True)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (g.n, g.edge_count()) == (n, m)
+    assert peak < 2 * size, f"parse peak {peak} B for a graph of {size} B"
+    assert _shared_ints(g) == n
+    contracted = contract(g, 0).graph
+    assert _shared_ints(contracted) == contracted.n
