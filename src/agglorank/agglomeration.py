@@ -10,10 +10,10 @@ pendant trees and searches from all remaining sources at once, a node leaving
 the search once it has seen them all; connectivity shows in the same work.
 
 The per-node contractions are independent, so a ranking with ``jobs`` > 1
-splits them round-robin over forked worker processes.  A worker sends back
-only ints, each contracted order and distance sum, through a pipe; the parent
-builds every ``Fraction`` and the sort, so the report does not depend on
-``jobs``.
+splits them round-robin over forked worker processes.  A worker writes only
+ints, each contracted order and distance sum, into its slots of one shared
+anonymous mapping; the parent builds every ``Fraction`` and the sort, so the
+report does not depend on ``jobs``.
 """
 
 from __future__ import annotations
@@ -105,100 +105,80 @@ def usable_cpus() -> int:
 
 # Ranking a graph of order n costs about n^2 steps of the search: n distance
 # sums over about n nodes each.  Below this many summed over the graphs, the
-# 4 ms that a fork and pipe round trip costs outweigh the second worker's
+# 4 ms that forking and reaping a worker cost outweigh the second worker's
 # share (measured on 2 cores, CPython 3.11, where the two break even at about
 # n = 40-60 on sparse graphs and lollipops and n = 90 on trees).
 _FORK_MIN_WORK = 5_000
 
 
-def _worker_count(jobs: int, items: int, work: int) -> int:
-    # A process running other threads stays serial: a forked child could
-    # inherit a lock that one of them holds and block on it forever.
+def _worker_count(jobs: int, items: list[tuple[Graph, int]]) -> int:
+    # Each item costs about the order of its graph.  A process running other
+    # threads stays serial: a forked child could inherit a lock that one of
+    # them holds and block on it forever.
     import os
     import threading
 
-    if jobs < 2 or work < _FORK_MIN_WORK or not hasattr(os, "fork"):
+    if jobs < 2 or not hasattr(os, "fork") or sum(g.n for g, _ in items) < _FORK_MIN_WORK:
         return 1
     if threading.active_count() > 1:
         return 1
-    return min(jobs, usable_cpus(), items)
+    return min(jobs, usable_cpus(), len(items))
 
 
-def _child(fd: int, share: list[tuple[Graph, int]]) -> NoReturn:
-    # Runs in a forked worker: write the share's sums as decimal text and leave
-    # without unwinding, so no stdio buffer or exit handler of the parent runs.
+def _child(slots: memoryview, first: int, step: int, share: list[tuple[Graph, int]]) -> NoReturn:
+    # Runs in a forked worker: store each item's order and distance sum in the
+    # slot pairs from ``first`` on, ``step`` apart, and leave without unwinding,
+    # so no stdio buffer or exit handler of the parent runs.  A sum of 2**64 or
+    # more does not fit a slot, so the worker fails.
     import os
 
     code = 1
     try:
-        with os.fdopen(fd, "w") as out:
-            out.write(" ".join(str(x) for item in share for x in _contracted_sum(item)))
+        for i, item in zip(range(first, len(slots), step), share):
+            slots[i], slots[i + 1] = _contracted_sum(item)
         code = 0
     finally:
         os._exit(code)
 
 
-def _collect(pid: int, fd: int, share: list[tuple[Graph, int]]) -> list[tuple[int, int]]:
-    # A worker's sums, or the parent's own if the worker failed in any way.
-    # The worker is reaped on every path, and killed first if reading failed.
-    import os
-    import signal
-
-    data = None
-    try:
-        with os.fdopen(fd, "rb") as pipe:
-            data = pipe.read()
-    finally:
-        if data is None:
-            os.kill(pid, signal.SIGKILL)
-        status = os.waitpid(pid, 0)[1]
-    values = data.split()
-    if status or len(values) != 2 * len(share) or not all(map(bytes.isdigit, values)):
-        return list(map(_contracted_sum, share))
-    values = list(map(int, values))
-    return list(zip(values[::2], values[1::2]))
-
-
-def _contracted_sums(
-    items: list[tuple[Graph, int]], work: int, jobs: int
-) -> list[tuple[int, int]]:
+def _contracted_sums(items: list[tuple[Graph, int]], jobs: int) -> list[tuple[int, int]]:
     """``_contracted_sum`` of every item, split round-robin over worker processes.
 
-    ``work`` estimates the cost of all items (see ``_FORK_MIN_WORK``).  The
+    Item i owns slots 2i and 2i + 1 of one shared anonymous mapping.  The
     parent forks one worker per extra share, computes share 0 itself, then
-    reads and reaps each worker in turn.  A share whose worker could not be
-    forked or did not exit cleanly is computed by the parent, so a failed
+    reaps each worker in turn and reads its slots.  A share whose worker could
+    not be forked, did not exit cleanly or left an order slot at 0 (a
+    contracted order is at least 1) is computed by the parent, so a failed
     worker costs time, never a wrong or partial result.
     """
-    workers = _worker_count(jobs, len(items), work)
+    workers = _worker_count(jobs, items)
     if workers == 1:
         return list(map(_contracted_sum, items))
+    import mmap
     import os
     import signal
 
     shares = [items[k::workers] for k in range(workers)]
-    pending: dict[int, tuple[int, int]] = {}
+    slots = memoryview(mmap.mmap(-1, 16 * len(items))).cast("Q")
+    pending: dict[int, int] = {}
     sums: list[tuple[int, int]] = [(0, 0)] * len(items)
     try:
         for k in range(1, workers):
-            read, write = os.pipe()
             try:
                 pid = os.fork()
             except OSError:
-                os.close(read)
-                os.close(write)
                 break
             if pid == 0:
-                os.close(read)
-                _child(write, shares[k])
-            os.close(write)
-            pending[k] = pid, read
+                _child(slots, 2 * k, 2 * workers, shares[k])
+            pending[k] = pid
         for k, share in enumerate(shares):
-            sums[k::workers] = (_collect(*pending.pop(k), share) if k in pending
-                                else list(map(_contracted_sum, share)))
+            failed = k in pending and os.waitpid(pending[k], 0)[1] != 0
+            pending.pop(k, None)
+            orders = slots[2 * k::2 * workers]
+            sums[k::workers] = (list(map(_contracted_sum, share)) if failed or not all(orders)
+                                else list(zip(orders, slots[2 * k + 1::2 * workers])))
     finally:
-        for pid, read in pending.values():
-            os.close(read)
+        for pid in pending.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     return sums
@@ -211,8 +191,7 @@ def rank_graphs(graphs: list[Graph], *, jobs: int = 1) -> list[RankReport]:
         raise DegenerateOrderError("ranking requires at least two nodes")
     lengths = [phi_and_length(g) for g in graphs]
     items = [(g, v) for g in graphs for v in range(g.n)]
-    work = sum(g.n * g.n for g in graphs)
-    sums = iter(_contracted_sums(items, work, jobs))
+    sums = iter(_contracted_sums(items, jobs))
     reports = []
     for g, (phi_g, length) in zip(graphs, lengths):
         entries = [_entry(v, phi_g, *next(sums)) for v in range(g.n)]

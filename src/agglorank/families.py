@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields
 from typing import ClassVar
 
 from .errors import EdgeListError, FamilyParameterError
-from .graph import Graph, from_edge_list, parse_edge_list, to_edge_list
+from .graph import Graph, _check_node, from_edge_list, parse_edge_list, to_edge_list
 
 
 class NodeClass(enum.Enum):
@@ -343,8 +343,7 @@ def generate(spec: FamilySpec) -> LabeledGraph:
 
 def class_of(lg: LabeledGraph, v: int) -> NodeClass:
     """Role of node v in the labeled graph."""
-    if not 0 <= v < lg.graph.n:
-        raise IndexError(f"node {v} out of range for graph of order {lg.graph.n}")
+    _check_node(lg.graph, v)
     return lg.classes[v]
 
 
@@ -412,7 +411,7 @@ def read_labeled(text: str) -> LabeledGraph:
         if label not in _CLASS_BY_LABEL:
             raise EdgeListError(f"unknown node class {label!r}")
         classes.append(_CLASS_BY_LABEL[label])
-    expected = sorted(c.value for c in generate(spec).classes)
+    expected = sorted(c.value for c in spec.build()[1])
     if sorted(c.value for c in classes) != expected:
         raise EdgeListError("class multiplicities do not match the family spec")
     return LabeledGraph(graph=g, classes=tuple(classes), spec=spec)

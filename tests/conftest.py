@@ -1,8 +1,20 @@
-"""Fixtures for the tests of the fork-based split (``--jobs``)."""
+"""Fixtures for the tests of the fork-based split (``--jobs``), and the
+environment for tests that run Python in a subprocess."""
 
 import os
+from pathlib import Path
 
 import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env(**overrides: str) -> dict[str, str]:
+    """This process's environment with ``src`` first on ``PYTHONPATH``, so a
+    child Python imports this checkout's agglorank; then ``overrides``."""
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture

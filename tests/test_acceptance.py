@@ -23,6 +23,7 @@ from agglorank.families import (
 from agglorank.contraction import contract
 from agglorank.verify import grid_specs, resolve_ranges
 
+from conftest import child_env
 from oracles import distance_signature, oracle_distance_sum, random_connected_graph
 
 NC = NodeClass
@@ -236,7 +237,7 @@ def test_criterion_7_contraction_structure_over_grids():
 def _cli(*argv, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "agglorank", *argv],
-        capture_output=True, **kwargs,
+        capture_output=True, env=child_env(), **kwargs,
     )
 
 

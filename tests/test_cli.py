@@ -1,7 +1,6 @@
 """CLI behavior: subcommands, formats, exit codes, determinism."""
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -14,6 +13,8 @@ from agglorank.cli import main
 from agglorank.families import FAMILIES, MAX_SIZE
 from agglorank.reports import decimal6
 from agglorank.verify import grid_specs
+
+from conftest import child_env
 
 PATH4 = "0 1\n1 2\n2 3\n"
 K4 = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
@@ -306,8 +307,7 @@ class TestEncoding:
         assert err == (f"error: {source}: not UTF-8 text ('utf-8' codec can't decode "
                        "byte 0xff in position 0: invalid start byte)\n")
 
-    ASCII_LOCALE = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
-                    "PYTHONCOERCECLOCALE": "0"}
+    ASCII_LOCALE = child_env(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
 
     def run_in_ascii_locale(self, *argv):
         return subprocess.run([sys.executable, "-m", "agglorank", *argv], capture_output=True,

@@ -1,14 +1,14 @@
 """Each demo runs to completion and prints a line it is known for (matched as a prefix)."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import child_env
+
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
-SRC = DEMOS.parent / "src"
 
 KNOWN_LINE = {
     "01_rank_a_network.py": "agglomeration phi = 3/46",
@@ -24,9 +24,7 @@ def test_every_demo_is_covered():
 
 @pytest.mark.parametrize("name", sorted(KNOWN_LINE))
 def test_demo_runs(name):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(DEMOS / name)], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert any(line.startswith(KNOWN_LINE[name]) for line in proc.stdout.splitlines())

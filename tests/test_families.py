@@ -69,8 +69,9 @@ def test_lollipop_layout():
 
 
 def test_class_of_out_of_range():
-    with pytest.raises(IndexError):
-        class_of(generate(PathSpec(3)), 3)
+    for v in (3, -1):
+        with pytest.raises(IndexError, match=rf"^node {v} out of range for graph of order 3$"):
+            class_of(generate(PathSpec(3)), v)
 
 
 @pytest.mark.parametrize(

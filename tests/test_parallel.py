@@ -1,13 +1,17 @@
 """The fork-based split of the per-node contractions (``--jobs``).
 
-Every input here is above the size below which ranking stays serial, so the
-split really forks; inputs below it must never fork.  The ``cpus`` and
-``forks`` fixtures are in ``conftest.py``.
+Workers write their sums into one shared mapping.  Every way a worker can
+fail ends in the serial report, and a failure of the parent kills them all;
+either way every worker is reaped.  Every input here is above the size below
+which ranking stays serial, so the split really forks; inputs below it must
+never fork.  The ``cpus`` and ``forks`` fixtures are in ``conftest.py``.
 """
 
+import mmap
 import os
 import random
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -97,9 +101,7 @@ def _fail_in_children(monkeypatch, failure):
     real = agglomeration._contracted_sum
 
     def contracted_sum(item):
-        if os.getpid() != parent:
-            failure()
-        return real(item)
+        return failure() if os.getpid() != parent else real(item)
 
     monkeypatch.setattr(agglomeration, "_contracted_sum", contracted_sum)
 
@@ -108,6 +110,7 @@ def _fail_in_children(monkeypatch, failure):
     lambda: os._exit(3),  # dies with a non-zero status before writing
     lambda: os._exit(0),  # exits cleanly but writes nothing
     lambda: 1 / 0,  # raises
+    lambda: (1, 2**64),  # returns a sum too large for a slot
 ])
 def test_failed_worker_share_is_computed_by_the_parent(monkeypatch, cpus, forks, failure):
     cpus(3)
@@ -135,15 +138,42 @@ def test_parent_failure_kills_and_reaps_every_worker(monkeypatch, cpus, forks):
     assert_reaped(forks)
 
 
+def test_interrupt_while_reaping_kills_and_reaps_every_worker(monkeypatch, cpus, forks):
+    cpus(3)
+    real_waitpid = os.waitpid
+    calls = []
+
+    def waitpid(pid, options):
+        calls.append(pid)
+        if len(calls) == 1:
+            raise KeyboardInterrupt
+        return real_waitpid(pid, options)
+
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    with pytest.raises(KeyboardInterrupt):
+        imc_all(SPARSE, jobs=3)
+    assert len(forks) == 2
+    assert_reaped(forks)
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="no /proc/self/fd")
+def test_forked_ranking_leaves_no_descriptor_open(cpus, forks):
+    cpus(2)
+    before = sorted(os.listdir("/proc/self/fd"))
+    imc_all(SPARSE, jobs=2)
+    assert len(forks) == 1
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+
 def test_no_fork_means_serial(monkeypatch, cpus):
     cpus(2)
     expected = imc_all(SPARSE)
     monkeypatch.delattr(os, "fork")
 
-    def no_pipe():
-        raise AssertionError("a pipe was opened without os.fork")
+    def no_mapping(*args, **kwargs):
+        raise AssertionError("a shared mapping was made without os.fork")
 
-    monkeypatch.setattr(os, "pipe", no_pipe)
+    monkeypatch.setattr(mmap, "mmap", no_mapping)
     assert imc_all(SPARSE, jobs=2) == expected
 
 
