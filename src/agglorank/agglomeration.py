@@ -9,17 +9,24 @@ of the result.  Every phi comes from one ``distance_sum``, which peels
 pendant trees and searches from all remaining sources at once, a node leaving
 the search once it has seen them all; connectivity shows in the same work.
 
-The per-node contractions are independent, so a ranking with ``jobs`` > 1
-splits them round-robin over forked worker processes.  A worker writes only
-ints, each contracted order and distance sum, into its slots of one shared
-anonymous mapping; the parent builds every ``Fraction`` and the sort, so the
-report does not depend on ``jobs``.
+A tree (a connected graph with n - 1 edges) is ranked without contracting:
+one rerooting pass gives every node's row sum, and each contracted distance
+sum then follows from the rows of the node's neighbours and the sizes of the
+branches around it, in O(n) for the whole tree (``_tree_sums``).
+
+The per-node contractions of the other graphs are independent, so a ranking
+with ``jobs`` > 1 splits them round-robin over forked worker processes; trees
+never fork.  A worker writes only ints, each contracted order and distance
+sum, into its slots of one shared anonymous mapping; the parent builds every
+``Fraction`` and the sort, so the report does not depend on ``jobs``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from operator import attrgetter
 from typing import NoReturn
 
 from .contraction import contract
@@ -82,9 +89,64 @@ def _contracted_sum(item: tuple[Graph, int]) -> tuple[int, int]:
     return contracted.n, distance_sum(contracted) if contracted.n > 1 else 0
 
 
+def _tree_sums(g: Graph) -> list[tuple[int, int]]:
+    """``_contracted_sum`` of every node of the tree g, in O(n) in all.
+
+    A BFS from node 0 gives subtree sizes, and rerooting gives every row sum:
+    row(c) = row(p) + n - 2 size(c) for a child c of p.  Contracting v merges
+    S = N[v] and leaves T = n - deg(v) - 1 survivors, b_a of them in the
+    branch of g - v at neighbour a.  DS(g) less the rows of S, plus the pairs
+    inside S (2 deg^2 in all), is the sum over survivor pairs.  A survivor
+    pair in two branches comes 2 closer, and P2 = T^2 - sum b_a^2 ordered
+    pairs do; a pair in one branch keeps its distance.  A survivor x lies
+    d(x, v) - 1 from the merged node, row(v) - deg - T in all.  The row(v)
+    terms cancel, so
+    DS(g/v) = DS(g) - 2 (sum of row(a) over neighbours a + P2 + T - deg (deg - 1)).
+    """
+    n, adj = g.n, g.adj
+    parent = [-1] * n
+    parent[0] = 0
+    order = [0]
+    for u in order:
+        for w in adj[u]:
+            if parent[w] < 0:
+                parent[w] = u
+                order.append(w)
+    size = [1] * n
+    for c in reversed(order[1:]):
+        size[parent[c]] += size[c]
+    row = [0] * n
+    # row(0) sums the depths, and a node of depth d lies in d subtrees but node 0's.
+    row[0] = sum(size) - n
+    for c in order[1:]:
+        row[c] = row[parent[c]] + n - 2 * size[c]
+    total = sum(row)
+    sums = []
+    for v, nbrs in enumerate(adj):
+        deg = len(nbrs)
+        t = n - deg - 1
+        if not t:
+            sums.append((1, 0))
+            continue
+        sv = size[v]
+        near = squares = 0
+        for a in nbrs:
+            near += row[a]
+            # A child's subtree is smaller than v's; v's parent's branch is the rest.
+            b = (size[a] if size[a] < sv else n - sv) - 1
+            squares += b * b
+        sums.append((t + 1, total - 2 * (near + t * t - squares + t - deg * (deg - 1))))
+    return sums
+
+
 def _entry(v: int, phi_g: Fraction, order: int, total: int) -> ImcEntry:
-    phi_contracted = Fraction(order - 1, total) if order > 1 else Fraction(1)
-    return ImcEntry(node=v, imc=1 - phi_g / phi_contracted, contracted_order=order)
+    # imc = 1 - phi(G) / phi(G/v) as one Fraction, with phi(G) = p / q and
+    # phi(G/v) = (order - 1) / total, or 1 when G/v is the 1-node graph.
+    p, q = phi_g.as_integer_ratio()
+    if order == 1:
+        return ImcEntry(node=v, imc=Fraction(q - p, q), contracted_order=order)
+    den = q * (order - 1)
+    return ImcEntry(node=v, imc=Fraction(den - p * total, den), contracted_order=order)
 
 
 def imc(g: Graph, v: int) -> ImcEntry:
@@ -103,11 +165,11 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# Ranking a graph of order n costs about n^2 steps of the search: n distance
-# sums over about n nodes each.  Below this many summed over the graphs, the
-# 4 ms that forking and reaping a worker cost outweigh the second worker's
-# share (measured on 2 cores, CPython 3.11, where the two break even at about
-# n = 40-60 on sparse graphs and lollipops and n = 90 on trees).
+# Contracting every node of a graph of order n costs about n^2 steps of the
+# search: n distance sums over about n nodes each.  Below this many summed over
+# the graphs, the 4 ms that forking and reaping a worker cost outweigh the
+# second worker's share (measured on 2 cores, CPython 3.11, where the two break
+# even at about n = 40-60 on sparse graphs and lollipops).
 _FORK_MIN_WORK = 5_000
 
 
@@ -185,17 +247,21 @@ def _contracted_sums(items: list[tuple[Graph, int]], jobs: int) -> list[tuple[in
 
 
 def rank_graphs(graphs: list[Graph], *, jobs: int = 1) -> list[RankReport]:
-    """Rank every node of each graph, with the contractions of all graphs
-    shared among at most ``jobs`` processes (see ``imc_all``)."""
+    """Rank every node of each graph.  Trees take ``_tree_sums`` and never
+    fork; the contractions of all other graphs are shared among at most
+    ``jobs`` processes (see ``imc_all``)."""
     if any(g.n < 2 for g in graphs):
         raise DegenerateOrderError("ranking requires at least two nodes")
     lengths = [phi_and_length(g) for g in graphs]
-    items = [(g, v) for g in graphs for v in range(g.n)]
+    trees = [g.edge_count() == g.n - 1 for g in graphs]
+    items = [(g, v) for g, tree in zip(graphs, trees) if not tree for v in range(g.n)]
     sums = iter(_contracted_sums(items, jobs))
     reports = []
-    for g, (phi_g, length) in zip(graphs, lengths):
-        entries = [_entry(v, phi_g, *next(sums)) for v in range(g.n)]
-        entries.sort(key=lambda e: (-e.imc, e.node))
+    for g, tree, (phi_g, length) in zip(graphs, trees, lengths):
+        pairs = _tree_sums(g) if tree else islice(sums, g.n)
+        entries = [_entry(v, phi_g, *pair) for v, pair in enumerate(pairs)]
+        # Entries are in node order and the sort is stable, so ties keep ascending ids.
+        entries.sort(key=attrgetter("imc"), reverse=True)
         reports.append(RankReport(phi=phi_g, avg_path_length=length, entries=tuple(entries)))
     return reports
 
@@ -203,9 +269,10 @@ def rank_graphs(graphs: list[Graph], *, jobs: int = 1) -> list[RankReport]:
 def imc_all(g: Graph, *, jobs: int = 1) -> RankReport:
     """Rank every node.
 
-    With ``jobs`` > 1 the n contractions run in up to ``min(jobs, usable
-    CPUs, n)`` forked worker processes, once the graph is large enough for
-    that to pay and unless other threads run; the report is identical for
-    every value of ``jobs``.
+    A tree is ranked in O(n) without contracting, in this process.  Any
+    other graph contracts each node; with ``jobs`` > 1 the n contractions run
+    in up to ``min(jobs, usable CPUs, n)`` forked worker processes, once the
+    graph is large enough for that to pay and unless other threads run.  The
+    report is identical for every value of ``jobs``.
     """
     return rank_graphs([g], jobs=jobs)[0]

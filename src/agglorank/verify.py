@@ -155,9 +155,10 @@ def verify_family(
 ) -> VerifyReport:
     """Check one family over a grid.
 
-    The contractions of every spec's ranking are shared among up to ``jobs``
-    worker processes, as in ``imc_all``; the report is identical for every
-    value of ``jobs``.
+    Specs whose graph is a tree (paths, comets, double comets) are ranked
+    without contracting and never fork; the contractions of every other
+    spec's ranking are shared among up to ``jobs`` worker processes, as in
+    ``imc_all``.  The report is identical for every value of ``jobs``.
     """
     labeled = [generate(spec) for spec in grid_specs(family, resolve_ranges(family, ranges))]
     rankings = rank_graphs([lg.graph for lg in labeled], jobs=jobs)

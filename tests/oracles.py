@@ -41,12 +41,15 @@ def oracle_distance_sum(g: Graph) -> int:
 
 
 def _tree_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
-    # Random labeled tree via a uniform parent-code sequence.
+    # Random labeled tree via a uniform Pruefer sequence.
     if n == 1:
         return []
-    if n == 2:
-        return [(0, 1)]
-    code = [rng.randrange(n) for _ in range(n - 2)]
+    return pruefer_edges([rng.randrange(n) for _ in range(n - 2)], n)
+
+
+def pruefer_edges(code: list[int], n: int) -> list[tuple[int, int]]:
+    """Edges of the labeled tree on n >= 2 nodes whose Pruefer sequence is
+    ``code`` (n - 2 ids in range(n)); each tree has exactly one sequence."""
     child_count = [1] * n
     for x in code:
         child_count[x] += 1

@@ -174,6 +174,16 @@ class TestRank:
             assert code == 0
             outputs.add(out)
         assert len(outputs) == 1
+        assert forks == []  # a double comet is a tree, ranked without contracting
+        target = tmp_path / "lollipop.edges"
+        main(["gen", "lollipop", "--n", "80", "--d", "20", "--output", str(target)])
+        capsys.readouterr()
+        outputs = set()
+        for jobs in ("1", "1", "4"):
+            code, out, _ = run(capsys, "rank", str(target), "--jobs", jobs)
+            assert code == 0
+            outputs.add(out)
+        assert len(outputs) == 1
         assert len(forks) == 1
 
     def test_bad_jobs(self, capsys, tmp_path):
@@ -374,6 +384,13 @@ class TestVerify:
         for jobs in ("1", "3"):
             code, out, _ = run(capsys, "verify", "comet", "--s", "3..4", "--t", "4..20",
                                "--jobs", jobs)
+            assert code == 0
+            outputs.add(out)
+        assert len(outputs) == 1
+        assert forks == []  # comets are trees, ranked without contracting
+        outputs = set()
+        for jobs in ("1", "3"):
+            code, out, _ = run(capsys, "verify", "lollipop", "--jobs", jobs)
             assert code == 0
             outputs.add(out)
         assert len(outputs) == 1

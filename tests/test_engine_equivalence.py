@@ -1,0 +1,94 @@
+"""Trees are ranked without contracting (``agglomeration._tree_sums``); every
+other graph contracts each node.  Both must give the report of the definition:
+``imc(g, v)``, contract-then-phi, for every node, with phi equal to the
+min-plus oracle's and entries sorted by importance descending, ties by
+ascending id."""
+
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from agglorank import agglomeration
+from agglorank import closed_forms as cf
+from agglorank.agglomeration import ImcEntry, imc, imc_all, rank_graphs
+from agglorank.errors import ConnectivityError
+from agglorank.families import CometSpec, LollipopSpec, PathSpec, generate
+from agglorank.graph import Graph, from_edge_list, parse_edge_list
+
+from oracles import oracle_distance_sum, pruefer_edges, random_connected_graph
+
+
+def pruefer_tree(code: list[int], n: int) -> Graph:
+    return from_edge_list(pruefer_edges(code, n), n=n)
+
+
+def assert_ranks_by_definition(g: Graph, report) -> None:
+    by_node = [imc(g, v) for v in range(g.n)]
+    assert report.entries == tuple(sorted(by_node, key=lambda e: (-e.imc, e.node)))
+    assert report.phi == Fraction(g.n - 1, oracle_distance_sum(g))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_every_labeled_tree_ranks_by_definition(n):
+    trees = [pruefer_tree(list(code), n) for code in product(range(n), repeat=n - 2)]
+    assert len(trees) == n ** (n - 2)
+    for g, report in zip(trees, rank_graphs(trees)):
+        assert_ranks_by_definition(g, report)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 60).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), min_size=n - 2,
+                                             max_size=n - 2))))
+def test_random_trees_rank_by_definition(case):
+    n, code = case
+    g = pruefer_tree(code, n)
+    assert_ranks_by_definition(g, imc_all(g))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_trees_and_cyclic_graphs_in_one_call_rank_as_alone(jobs, cpus):
+    cpus(2)
+    rng = random.Random(11)
+    graphs = [
+        generate(PathSpec(30)).graph,
+        generate(LollipopSpec(80, 20)).graph,  # above the size at which the split forks
+        pruefer_tree([rng.randrange(25) for _ in range(23)], 25),
+        random_connected_graph(rng, 12),
+        from_edge_list([(0, 1)]),
+        generate(CometSpec(4, 9)).graph,
+        generate(LollipopSpec(9, 4)).graph,
+    ]
+    assert rank_graphs(graphs, jobs=jobs) == [imc_all(g) for g in graphs]
+
+
+def _no_contract(g, v):
+    raise AssertionError("a tree was ranked by contraction")
+
+
+@pytest.mark.parametrize("labeled, phi_form, imc_form, params", [
+    (generate(PathSpec(5000)), cf.phi_path, cf.imc_path, (5000,)),
+    (generate(CometSpec(1000, 4000)), cf.phi_comet, cf.imc_comet, (1000, 4000)),
+])
+def test_large_trees_rank_without_contracting(monkeypatch, labeled, phi_form, imc_form,
+                                              params):
+    monkeypatch.setattr(agglomeration, "contract", _no_contract)
+    g = labeled.graph
+    expected = [ImcEntry(v, imc_form(*params, role), g.n - len(g.adj[v]))
+                for v, role in enumerate(labeled.classes)]
+    report = imc_all(g, jobs=2)
+    assert report.phi == phi_form(*params)
+    assert report.entries == tuple(sorted(expected, key=lambda e: (-e.imc, e.node)))
+
+
+def test_a_disconnected_graph_with_n_minus_1_edges_is_no_tree():
+    # A triangle and an isolated node: 3 = n - 1 edges, but not connected.
+    g = parse_edge_list("# n=4\n0 1\n1 2\n0 2\n")
+    assert g.edge_count() == g.n - 1
+    with pytest.raises(ConnectivityError, match=r"^node 3 is unreachable from node 0$") as err:
+        imc_all(g)
+    assert err.value.unreachable == 3

@@ -3,8 +3,9 @@
 Workers write their sums into one shared mapping.  Every way a worker can
 fail ends in the serial report, and a failure of the parent kills them all;
 either way every worker is reaped.  Every input here is above the size below
-which ranking stays serial, so the split really forks; inputs below it must
-never fork.  The ``cpus`` and ``forks`` fixtures are in ``conftest.py``.
+which ranking stays serial, so the split really forks, except on trees, which
+are ranked without contracting; inputs below that size must never fork.  The
+``cpus`` and ``forks`` fixtures are in ``conftest.py``.
 """
 
 import mmap
@@ -58,7 +59,8 @@ def test_split_report_equals_serial(name, jobs, cpus, forks):
     cpus(3)
     g = INPUTS[name]
     assert imc_all(g, jobs=jobs) == imc_all(g)
-    assert len(forks) == jobs - 1
+    tree = g.edge_count() == g.n - 1  # trees are ranked without contracting
+    assert len(forks) == (0 if tree else jobs - 1)
     assert_reaped(forks)
 
 
@@ -77,6 +79,8 @@ def test_verify_report_equals_serial(cpus, forks):
     cpus(2)
     ranges = {"s": (3, 10), "t": (4, 12)}
     assert verify_family("comet", ranges, jobs=2) == verify_family("comet", ranges)
+    assert forks == []  # comets are trees
+    assert verify_family("lollipop", jobs=2) == verify_family("lollipop")
     assert len(forks) == 1
     assert_reaped(forks)
 
@@ -85,13 +89,18 @@ def test_cli_stdout_is_identical_with_jobs_1_and_the_default(tmp_path, capsys, c
     cpus(2)
     source = tmp_path / "sparse.txt"
     source.write_text(to_edge_list(SPARSE))
-    commands = (["rank", str(source), "--format", "json"], ["verify", "comet"])
-    for command in commands:
-        assert main(command + ["--jobs", "1"]) == 0
+    commands = {  # command: the forks its default run makes
+        ("rank", str(source), "--format", "json"): 1,
+        ("verify", "lollipop"): 1,
+        ("verify", "comet"): 0,  # comets are trees
+    }
+    for command, forked in commands.items():
+        assert main([*command, "--jobs", "1"]) == 0
         serial = capsys.readouterr().out
-        assert main(command) == 0
+        before = len(forks)
+        assert main(list(command)) == 0
         assert capsys.readouterr().out == serial
-    assert len(forks) == len(commands)
+        assert len(forks) - before == forked
     assert_reaped(forks)
 
 
