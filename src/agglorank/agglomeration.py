@@ -5,14 +5,15 @@ always reduced with a positive denominator, and since Python integers have
 arbitrary precision the arithmetic can never overflow or wrap.
 
 Importance follows the definition: each node is contracted and phi is taken
-of the result.  Every phi comes from one ``distance_sum``, which peels
-pendant trees and searches from all remaining sources at once, a node leaving
-the search once it has seen them all; connectivity shows in the same work.
+of the result.  Every phi comes from one distance sum, which peels pendant
+trees (``graph._peel``) and then searches from all remaining sources at once,
+a node leaving the search once it has seen them all; connectivity shows in
+the same work.
 
-A tree (a connected graph with n - 1 edges) is ranked without contracting:
-one rerooting pass gives every node's row sum, and each contracted distance
-sum then follows from the rows of the node's neighbours and the sizes of the
-branches around it, in O(n) for the whole tree (``_tree_sums``).
+A tree (a connected graph with n - 1 edges) is ranked from that peel alone,
+without contracting: rerooting the peel gives every node's row sum, and each
+contracted distance sum then follows from the rows of the node's neighbours
+and the sizes of the branches around it, in O(n) for the whole tree.
 
 The per-node contractions of the other graphs are independent, so a ranking
 with ``jobs`` > 1 splits them round-robin over forked worker processes; trees
@@ -31,7 +32,7 @@ from typing import NoReturn
 
 from .contraction import contract
 from .errors import DegenerateOrderError
-from .graph import Graph, distance_sum
+from .graph import Graph, _peel, distance_sum
 
 Rational = Fraction
 
@@ -62,8 +63,11 @@ def phi_and_length(g: Graph) -> tuple[Fraction, Fraction | None]:
     """
     if g.n == 1:
         return Fraction(1), None
-    total = distance_sum(g)
-    return Fraction(g.n - 1, total), Fraction(total, g.n * (g.n - 1))
+    return _phi_and_length_of(g.n, distance_sum(g))
+
+
+def _phi_and_length_of(n: int, total: int) -> tuple[Fraction, Fraction]:
+    return Fraction(n - 1, total), Fraction(total, n * (n - 1))
 
 
 def average_path_length(g: Graph) -> Fraction:
@@ -89,45 +93,30 @@ def _contracted_sum(item: tuple[Graph, int]) -> tuple[int, int]:
     return contracted.n, distance_sum(contracted) if contracted.n > 1 else 0
 
 
-def _tree_sums(g: Graph) -> list[tuple[int, int]]:
-    """``_contracted_sum`` of every node of the tree g, in O(n) in all.
+def _tree_sums(g: Graph) -> tuple[int, list[tuple[int, int]]]:
+    """DS(g) and ``_contracted_sum`` of every node of the tree g, in O(n).
 
-    A BFS from node 0 gives subtree sizes, and rerooting gives every row sum:
-    row(c) = row(p) + n - 2 size(c) for a child c of p.  Contracting v merges
-    S = N[v] and leaves T = n - deg(v) - 1 survivors, b_a of them in the
-    branch of g - v at neighbour a.  DS(g) less the rows of S, plus the pairs
-    inside S (2 deg^2 in all), is the sum over survivor pairs.  A survivor
-    pair in two branches comes 2 closer, and P2 = T^2 - sum b_a^2 ordered
-    pairs do; a pair in one branch keeps its distance.  A survivor x lies
-    d(x, v) - 1 from the merged node, row(v) - deg - T in all.  The row(v)
-    terms cancel, so
-    DS(g/v) = DS(g) - 2 (sum of row(a) over neighbours a + P2 + T - deg (deg - 1)).
+    ``_peel(g)`` gives DS(g), or raises if g is no tree, the subtree sizes
+    about the node it ends at and that node's row sum.  Rerooting in reverse
+    peel order gives every other row: row(c) = row(p) + n - 2 size(c) for a
+    leaf c peeled into p.  Contracting v merges S = N[v] and leaves
+    T = n - deg(v) - 1 survivors, b_a of them in the branch of g - v at
+    neighbour a.  DS(g) less the rows of S, plus the pairs inside S
+    (2 deg^2 in all), is the sum over survivor pairs.  A survivor pair in two
+    branches comes 2 closer, and P2 = T^2 - sum b_a^2 ordered pairs do; a
+    pair in one branch keeps its distance.  A survivor x lies d(x, v) - 1
+    from the merged node, row(v) - deg - T in all.  The row(v) terms cancel,
+    so DS(g/v) = DS(g) - 2 (sum of row(a) over neighbours a + P2 + T - deg (deg - 1)).
     """
     n, adj = g.n, g.adj
-    parent = [-1] * n
-    parent[0] = 0
-    order = [0]
-    for u in order:
-        for w in adj[u]:
-            if parent[w] < 0:
-                parent[w] = u
-                order.append(w)
-    size = [1] * n
-    for c in reversed(order[1:]):
-        size[parent[c]] += size[c]
-    row = [0] * n
-    # row(0) sums the depths, and a node of depth d lies in d subtrees but node 0's.
-    row[0] = sum(size) - n
-    for c in order[1:]:
-        row[c] = row[parent[c]] + n - 2 * size[c]
-    total = sum(row)
+    total, _, size, row, peeled = _peel(g)
+    # Rows overwrite the spent spreads; the last node's spread is its row already.
+    for c, p in reversed(peeled):
+        row[c] = row[p] + n - 2 * size[c]
     sums = []
     for v, nbrs in enumerate(adj):
         deg = len(nbrs)
         t = n - deg - 1
-        if not t:
-            sums.append((1, 0))
-            continue
         sv = size[v]
         near = squares = 0
         for a in nbrs:
@@ -136,7 +125,7 @@ def _tree_sums(g: Graph) -> list[tuple[int, int]]:
             b = (size[a] if size[a] < sv else n - sv) - 1
             squares += b * b
         sums.append((t + 1, total - 2 * (near + t * t - squares + t - deg * (deg - 1))))
-    return sums
+    return total, sums
 
 
 def _entry(v: int, phi_g: Fraction, order: int, total: int) -> ImcEntry:
@@ -247,19 +236,19 @@ def _contracted_sums(items: list[tuple[Graph, int]], jobs: int) -> list[tuple[in
 
 
 def rank_graphs(graphs: list[Graph], *, jobs: int = 1) -> list[RankReport]:
-    """Rank every node of each graph.  Trees take ``_tree_sums`` and never
-    fork; the contractions of all other graphs are shared among at most
-    ``jobs`` processes (see ``imc_all``)."""
+    """Rank every node of each graph.  A graph with n - 1 edges is a tree or
+    fails its peel, and a tree is ranked from that peel (``_tree_sums``); the
+    other graphs' contractions go to at most ``jobs`` processes (``imc_all``)."""
     if any(g.n < 2 for g in graphs):
         raise DegenerateOrderError("ranking requires at least two nodes")
-    lengths = [phi_and_length(g) for g in graphs]
-    trees = [g.edge_count() == g.n - 1 for g in graphs]
-    items = [(g, v) for g, tree in zip(graphs, trees) if not tree for v in range(g.n)]
+    walks = [_tree_sums(g) if g.edge_count() == g.n - 1 else (distance_sum(g), None)
+             for g in graphs]
+    items = [(g, v) for g, (_, tree) in zip(graphs, walks) if not tree for v in range(g.n)]
     sums = iter(_contracted_sums(items, jobs))
     reports = []
-    for g, tree, (phi_g, length) in zip(graphs, trees, lengths):
-        pairs = _tree_sums(g) if tree else islice(sums, g.n)
-        entries = [_entry(v, phi_g, *pair) for v, pair in enumerate(pairs)]
+    for g, (total, tree) in zip(graphs, walks):
+        phi_g, length = _phi_and_length_of(g.n, total)
+        entries = [_entry(v, phi_g, *pair) for v, pair in enumerate(tree or islice(sums, g.n))]
         # Entries are in node order and the sort is stable, so ties keep ascending ids.
         entries.sort(key=attrgetter("imc"), reverse=True)
         reports.append(RankReport(phi=phi_g, avg_path_length=length, entries=tuple(entries)))

@@ -19,7 +19,8 @@ from pathlib import Path
 from .agglomeration import imc_all, phi_and_length, usable_cpus
 from .contraction import contract
 from .errors import AggloRankError, ConnectivityError, EdgeListError, FamilyParameterError
-from .families import FAMILIES, MAX_SIZE, generate, scan_class_comments, write_labeled
+from .families import (FAMILIES, MAX_SIZE, check_class_nodes, generate, scan_class_comments,
+                       write_labeled)
 from .graph import bfs_distances, parse_edge_list, to_edge_list
 from .reports import FORMATS, render_phi, render_rank, render_verify
 from .verify import verify_family
@@ -77,9 +78,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_rank(args: argparse.Namespace) -> int:
     text, g = _read_graph(args)
     classes = scan_class_comments(text)
-    for v in classes:
-        if v >= g.n:
-            raise EdgeListError(f"class comment for unknown node {v}")
+    check_class_nodes(classes, g.n)
     report = imc_all(g, jobs=args.jobs)
     _emit(args, render_rank(report, classes or None, args.format))
     return EXIT_OK

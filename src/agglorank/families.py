@@ -352,14 +352,23 @@ _CLASS_LINE = re.compile(r"#\s*class\s+(\d+)\s+(\S+)\s*$")
 _FIELD = re.compile(r"([a-z]+)=(\d+)")
 
 
-def _spec_from_fields(name: str, values: dict[str, int]) -> FamilySpec:
+def _spec_from_fields(name: str, text: str) -> FamilySpec:
+    # The spec of a "# family" line: each parameter of the family exactly once.
     if name not in FAMILIES:
         raise EdgeListError(f"unknown family {name!r}")
     cls = FAMILIES[name]
+    values: dict[str, int] = {}
+    for key, value in _FIELD.findall(text):
+        if key in values:
+            raise EdgeListError(f"family {name} repeats parameter {key!r}")
+        values[key] = int(value)
     try:
-        return cls(**{f.name: values.pop(f.name) for f in fields(cls)})
+        spec = {f.name: values.pop(f.name) for f in fields(cls)}
     except KeyError as missing:
         raise EdgeListError(f"family {name} is missing parameter {missing}") from None
+    if values:
+        raise EdgeListError(f"family {name} has no parameter {next(iter(values))!r}")
+    return cls(**spec)
 
 
 def write_labeled(lg: LabeledGraph) -> str:
@@ -383,6 +392,13 @@ def scan_class_comments(text: str) -> dict[int, str]:
     return classes
 
 
+def check_class_nodes(classes: dict[int, str], order: int) -> None:
+    """Refuse a class comment for a node that a graph of this order lacks."""
+    for v in classes:
+        if v >= order:
+            raise EdgeListError(f"class comment for unknown node {v}")
+
+
 def read_labeled(text: str) -> LabeledGraph:
     """Parse a labeled edge list written by write_labeled.
 
@@ -395,14 +411,14 @@ def read_labeled(text: str) -> LabeledGraph:
         if m:
             if spec is not None:
                 raise EdgeListError("second '# family' line", line=line_no)
-            fields = {key: int(val) for key, val in _FIELD.findall(m.group(2))}
-            spec = _spec_from_fields(m.group(1), fields)
+            spec = _spec_from_fields(m.group(1), m.group(2))
     if spec is None:
         raise EdgeListError("missing '# family' line")
     g = parse_edge_list(text)
     if g.n != spec.order:
         raise EdgeListError(f"graph order {g.n} does not match family order {spec.order}")
     raw_classes = scan_class_comments(text)
+    check_class_nodes(raw_classes, g.n)
     classes = []
     for v in range(g.n):
         if v not in raw_classes:

@@ -289,43 +289,32 @@ def _disconnected(g: Graph) -> NoReturn:
     raise AssertionError("a BFS reached every node of a disconnected graph")
 
 
-def distance_sum(g: Graph) -> int:
-    """Total shortest-path length over all ordered node pairs.
+def _peel(g: Graph) -> tuple[int, list[int], list[int], list[int], list[tuple[int, int]]]:
+    """Peel pendant trees off g: (pairs, core, weight, spread, peeled).
 
-    Each unordered pair is counted twice, so the result is always even.
-
-    Pendant trees are peeled off first: a leaf merges into its neighbor,
-    which then stands for w nodes at a summed distance s from it, and the
-    pairs inside a merged tree are counted as it grows.  A tree peels down to
-    one node.  On what is left (the core, where no node is a leaf) every
-    source is searched at once, with w bits for a source of weight w:
-    ``front[v]`` holds the sources whose distance to v is the current level,
-    and a node that has seen every source leaves the search.  A pair of core
-    nodes x, y then adds w(x) * w(y) * d(x, y), and each core node x adds
-    s(x) * (n - w(x)) in both directions, since trees hang off the core and
-    no shortest path runs through one.  The n source bits go in blocks of at
-    most ``_BLOCK_BITS // core order``, so a list of bitsets stays near 16 MiB.
-    g is disconnected when a leaf or core node has no neighbor left, or when a
-    level reaches nothing while a node is still open; only then does a BFS
-    from node 0 run, to name an unreachable node in the ``ConnectivityError``.
+    A leaf merges into its neighbor, which then stands for w nodes at summed
+    distance s from it; pairs counts the ordered pairs inside merged trees,
+    and peeled lists each (leaf, neighbor) in peel order.  The core is what
+    is left.  A tree peels down to one node: pairs is then its distance sum,
+    a leaf's w its subtree size about that node, and the node's s its row
+    sum.  g is disconnected when a leaf or core node has no neighbor left;
+    only then does a BFS from node 0 run, to name an unreachable node.
     """
-    if g.n < 2:
-        raise DegenerateOrderError("distance sum requires at least two nodes")
     n, adj = g.n, g.adj
     degree = [len(nbrs) for nbrs in adj]
     weight = [1] * n
     spread = [0] * n
     alive = [True] * n
+    peeled = []
     total = 0
-    remaining = n
     leaves = [v for v in range(n) if degree[v] == 1]
-    while leaves and remaining > 1:
+    while leaves and len(peeled) < n - 1:
         leaf = leaves.pop()
         if not degree[leaf]:
             _disconnected(g)
         alive[leaf] = False
-        remaining -= 1
         u = next(w for w in adj[leaf] if alive[w])
+        peeled.append((leaf, u))
         a, b = weight[leaf], weight[u]
         total += 2 * (spread[leaf] * b + a * b + a * spread[u])
         spread[u] += spread[leaf] + a
@@ -333,12 +322,33 @@ def distance_sum(g: Graph) -> int:
         degree[u] -= 1
         if degree[u] == 1:
             leaves.append(u)
-    if remaining == 1:
-        return total
     core = [v for v in range(n) if alive[v]]
-    if not all(map(degree.__getitem__, core)):
+    if len(core) > 1 and not all(map(degree.__getitem__, core)):
         _disconnected(g)
-    total += 2 * sum(spread[v] * (n - weight[v]) for v in core)
+    return total, core, weight, spread, peeled
+
+
+def distance_sum(g: Graph) -> int:
+    """Total shortest-path length over all ordered node pairs.
+
+    Each unordered pair is counted twice, so the result is always even.
+
+    Pendant trees are peeled off first (``_peel``); a tree peels down to one
+    node, and a core of one node adds nothing.  On what is left (the core,
+    where no node is a leaf) every source is searched at once, with w bits for
+    a source of weight w: ``front[v]`` holds the sources whose distance to v is
+    the current level, and a node that has seen every source leaves the search.
+    A pair of core nodes x, y then adds w(x) * w(y) * d(x, y), and each core
+    node x adds s(x) * (n - w(x)) in both directions, since trees hang off the
+    core and no shortest path runs through one.  The n source bits go in blocks
+    of at most ``_BLOCK_BITS // core order``, so a list of bitsets stays near
+    16 MiB.  g is also disconnected when a level reaches nothing while a node
+    is still open, and again a BFS from node 0 names an unreachable node.
+    """
+    if g.n < 2:
+        raise DegenerateOrderError("distance sum requires at least two nodes")
+    total, core, weight, spread, _ = _peel(g)
+    total += 2 * sum(spread[v] * (g.n - weight[v]) for v in core)
     return total + _weighted_core_sum(g, core, weight)
 
 

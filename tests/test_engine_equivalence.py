@@ -1,7 +1,8 @@
-"""Trees are ranked without contracting (``agglomeration._tree_sums``); every
-other graph contracts each node.  Both must give the report of the definition:
-``imc(g, v)``, contract-then-phi, for every node, with phi equal to the
-min-plus oracle's and entries sorted by importance descending, ties by
+"""Trees are ranked without contracting, from the one leaf peel that a
+distance sum also runs (``graph._peel``, then ``agglomeration._tree_sums``);
+every other graph contracts each node.  Both must give the report of the
+definition: ``imc(g, v)``, contract-then-phi, for every node, with phi equal
+to the min-plus oracle's and entries sorted by importance descending, ties by
 ascending id."""
 
 import random
@@ -12,12 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agglorank import agglomeration
+from agglorank import agglomeration, graph
 from agglorank import closed_forms as cf
 from agglorank.agglomeration import ImcEntry, imc, imc_all, rank_graphs
 from agglorank.errors import ConnectivityError
 from agglorank.families import CometSpec, LollipopSpec, PathSpec, generate
-from agglorank.graph import Graph, from_edge_list, parse_edge_list
+from agglorank.graph import Graph, bfs_distances, from_edge_list, parse_edge_list
 
 from oracles import oracle_distance_sum, pruefer_edges, random_connected_graph
 
@@ -70,10 +71,13 @@ def _no_contract(g, v):
     raise AssertionError("a tree was ranked by contraction")
 
 
-@pytest.mark.parametrize("labeled, phi_form, imc_form, params", [
+LARGE_TREES = [
     (generate(PathSpec(5000)), cf.phi_path, cf.imc_path, (5000,)),
     (generate(CometSpec(1000, 4000)), cf.phi_comet, cf.imc_comet, (1000, 4000)),
-])
+]
+
+
+@pytest.mark.parametrize("labeled, phi_form, imc_form, params", LARGE_TREES)
 def test_large_trees_rank_without_contracting(monkeypatch, labeled, phi_form, imc_form,
                                               params):
     monkeypatch.setattr(agglomeration, "contract", _no_contract)
@@ -85,10 +89,29 @@ def test_large_trees_rank_without_contracting(monkeypatch, labeled, phi_form, im
     assert report.entries == tuple(sorted(expected, key=lambda e: (-e.imc, e.node)))
 
 
+def _second_walk(*args):
+    raise AssertionError("a tree was walked again after its peel")
+
+
+@pytest.mark.parametrize("labeled, phi_form, imc_form, params", LARGE_TREES)
+def test_large_trees_rank_from_their_peel_alone(monkeypatch, labeled, phi_form, imc_form,
+                                                params):
+    # phi, L, connectivity and every contracted sum come from the one peel.
+    monkeypatch.setattr(agglomeration, "distance_sum", _second_walk)
+    monkeypatch.setattr(agglomeration, "phi_and_length", _second_walk)
+    monkeypatch.setattr(graph, "_bfs", _second_walk)
+    test_large_trees_rank_without_contracting(monkeypatch, labeled, phi_form, imc_form, params)
+
+
 def test_a_disconnected_graph_with_n_minus_1_edges_is_no_tree():
-    # A triangle and an isolated node: 3 = n - 1 edges, but not connected.
-    g = parse_edge_list("# n=4\n0 1\n1 2\n0 2\n")
-    assert g.edge_count() == g.n - 1
-    with pytest.raises(ConnectivityError, match=r"^node 3 is unreachable from node 0$") as err:
-        imc_all(g)
-    assert err.value.unreachable == 3
+    # n - 1 edges, but not connected: a triangle and an isolated node, a
+    # triangle and an edge, a triangle and a path of three nodes.
+    for text in ("# n=4\n0 1\n1 2\n0 2\n", "0 1\n1 2\n0 2\n3 4\n", "0 1\n1 2\n0 2\n3 4\n4 5\n"):
+        g = parse_edge_list(text)
+        assert g.edge_count() == g.n - 1
+        with pytest.raises(ConnectivityError) as bfs:
+            bfs_distances(g, 0)
+        with pytest.raises(ConnectivityError) as err:
+            imc_all(g)
+        assert str(err.value) == str(bfs.value) == "node 3 is unreachable from node 0"
+        assert err.value.unreachable == bfs.value.unreachable == 3

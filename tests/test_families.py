@@ -179,6 +179,20 @@ class TestLabeledSerialization:
         with pytest.raises(EdgeListError, match="multiplicities"):
             read_labeled(bad)
 
+    @pytest.mark.parametrize("params, message", [
+        ("n=4 x=9", "family path has no parameter 'x'"),
+        ("n=4 n=5", "family path repeats parameter 'n'"),
+    ])
+    def test_read_labeled_refuses_unknown_and_repeated_parameters(self, params, message):
+        text = write_labeled(generate(PathSpec(4))).replace("n=4", params, 1)
+        with pytest.raises(EdgeListError, match=f"^{message}$"):
+            read_labeled(text)
+
+    def test_read_labeled_refuses_a_class_for_a_node_the_graph_lacks(self):
+        text = write_labeled(generate(PathSpec(4))) + "# class 99 path_end\n"
+        with pytest.raises(EdgeListError, match="^class comment for unknown node 99$"):
+            read_labeled(text)
+
 
 @pytest.mark.parametrize("name", list(FAMILIES))
 def test_registry_entry_is_complete(name):
