@@ -31,10 +31,11 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, fields
-from typing import ClassVar
+from typing import ClassVar, Iterator
 
 from .errors import EdgeListError, FamilyParameterError
-from .graph import Graph, _check_node, from_edge_list, parse_edge_list, to_edge_list
+from .graph import (_LINE_BREAKS, _WRITE_NODES, Graph, _check_node, from_edge_list, parse_edge_list,
+                    to_edge_list)
 
 
 class NodeClass(enum.Enum):
@@ -347,9 +348,35 @@ def class_of(lg: LabeledGraph, v: int) -> NodeClass:
     return lg.classes[v]
 
 
-_FAMILY_LINE = re.compile(r"#\s*family\s+(\w+)((?:\s+[a-z]+=\d+)+)\s*$")
-_CLASS_LINE = re.compile(r"#\s*class\s+(\d+)\s+(\S+)\s*$")
-_FIELD = re.compile(r"([a-z]+)=(\d+)")
+# Whole "# family" and "# class" lines, found in the text itself: "\n" ends a
+# line (``_matching_lines`` splits a text with other line breaks first), and
+# whitespace around and between fields is any but "\n", as str.strip() sees it.
+_FAMILY_LINE = re.compile(
+    r"^[^\S\n]*#[^\S\n]*family[^\S\n]+(\w+)((?:[^\S\n]+[a-z]+=[0-9]+)+)[^\S\n]*$", re.MULTILINE)
+_CLASS_LINE = re.compile(
+    r"^[^\S\n]*#[^\S\n]*class[^\S\n]+([0-9]+)[^\S\n]+(\S+)[^\S\n]*$", re.MULTILINE)
+_FIELD = re.compile(r"([a-z]+)=([0-9]+)")
+_OTHER_BREAK = re.compile(f"[{_LINE_BREAKS}]")
+
+
+def _matching_lines(pattern: re.Pattern, text: str) -> Iterator[tuple[int, re.Match]]:
+    """(line number, match) of each line of text that pattern matches whole.
+
+    Lines are numbered as ``str.splitlines()`` cuts them.  A text whose only
+    line break is "\n" is searched as a whole, with each line number counted
+    from the newlines since the last match; any other text line by line.
+    """
+    if _OTHER_BREAK.search(text):
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            m = pattern.match(raw)
+            if m:
+                yield line_no, m
+        return
+    line_no, pos = 1, 0
+    for m in pattern.finditer(text):
+        line_no += text.count("\n", pos, m.start())
+        pos = m.start()
+        yield line_no, m
 
 
 def _spec_from_fields(name: str, text: str) -> FamilySpec:
@@ -373,18 +400,24 @@ def _spec_from_fields(name: str, text: str) -> FamilySpec:
 
 def write_labeled(lg: LabeledGraph) -> str:
     """Serialize graph, spec and per-node classes as a commented edge list."""
-    lines = [f"# family {lg.spec.comment_fields()}"]
-    lines += [f"# class {v} {c.value}" for v, c in enumerate(lg.classes)]
-    return "".join(line + "\n" for line in lines) + to_edge_list(lg.graph)
+    # The class lines are joined _WRITE_NODES nodes at a time, as the edges are.
+    classes = lg.classes
+    blocks = [f"# family {lg.spec.comment_fields()}\n"]
+    for lo in range(0, len(classes), _WRITE_NODES):
+        rows = enumerate(classes[lo:lo + _WRITE_NODES], lo)
+        blocks.append("".join([f"# class {v} {c.value}\n" for v, c in rows]))
+    blocks.append(to_edge_list(lg.graph))
+    return "".join(blocks)
 
 
 def scan_class_comments(text: str) -> dict[int, str]:
-    """Collect "# class <id> <label>" lines; labels are kept as raw strings."""
+    """Collect "# class <id> <label>" lines; labels are kept as raw strings.
+
+    The lines are found by searching the text, with no list of its lines
+    (``_matching_lines``); a second line for one node is an error at its line.
+    """
     classes: dict[int, str] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        m = _CLASS_LINE.match(raw.strip())
-        if not m:
-            continue
+    for line_no, m in _matching_lines(_CLASS_LINE, text):
         v = int(m.group(1))
         if v in classes:
             raise EdgeListError(f"repeated class comment for node {v}", line=line_no)
@@ -406,12 +439,10 @@ def read_labeled(text: str) -> LabeledGraph:
     multiplicities must match what the spec generates.
     """
     spec: FamilySpec | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        m = _FAMILY_LINE.match(raw.strip())
-        if m:
-            if spec is not None:
-                raise EdgeListError("second '# family' line", line=line_no)
-            spec = _spec_from_fields(m.group(1), m.group(2))
+    for line_no, m in _matching_lines(_FAMILY_LINE, text):
+        if spec is not None:
+            raise EdgeListError("second '# family' line", line=line_no)
+        spec = _spec_from_fields(m.group(1), m.group(2))
     if spec is None:
         raise EdgeListError("missing '# family' line")
     g = parse_edge_list(text)

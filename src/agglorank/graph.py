@@ -1,14 +1,20 @@
 """Simple undirected graphs on dense integer ids: parsing, BFS, distance sums.
 
-The edge-list text format is one edge per line ("u v", decimal ids), '#'
-comment lines, blank lines ignored.  An optional "# n=<order>" comment fixes
-the order explicitly, which is the only way to represent nodes that appear in
-no edge.  Canonical output sorts edges by (min id, max id) with the smaller
-id first on each line.  Plain text (only "u v" lines of ASCII digits and one
-space) parses in bulk, checked and split one block of lines at a time, with
-one int object per node; it declines ids at or above a bound taken from the
-line count.  Anything else, plain text with a fault, or such an id goes line
-by line, which gives the same graph and is the only path that raises.
+The edge-list text format is one edge per line ("u v", ASCII decimal ids),
+'#' comment lines, blank lines ignored.  An optional "# n=<order>" comment
+fixes the order explicitly, which is the only way to represent nodes that
+appear in no edge.  Canonical output sorts edges by (min id, max id) with the
+smaller id first on each line.
+
+Graphs are built through a node table, with one int object per node, and a
+self-loop or a duplicate is found from the built adjacency.  Plain text
+("u v" lines of ASCII digits and one space, and comment lines that start the
+line, are no order header and hold no line break but "\n") parses this way in
+bulk, checked and split one block of lines at a time; it declines ids at or
+above a bound taken from the count of edge lines.  Anything else, plain text
+with a fault, or such an id goes line by line, which gives the same graph and
+is the only path that raises.  ``from_edge_list`` builds the same way and
+names a fault from ``_validated``.
 """
 
 from __future__ import annotations
@@ -16,18 +22,29 @@ from __future__ import annotations
 import re
 from collections import deque
 from functools import reduce
-from itertools import accumulate, compress, count
+from itertools import accumulate, chain, compress, count
 from operator import itemgetter, mul, or_, xor
 from typing import Callable, Iterable, Iterator, NoReturn
 
 from .errors import ConnectivityError, DegenerateOrderError, EdgeListError
 
-_ORDER_HEADER = re.compile(r"#\s*n\s*=\s*(\d+)\s*$")
-# One or more "u v" lines of ASCII digits, the last newline optional.
-_PLAIN = re.compile(r"(?:[0-9]+ [0-9]+\n)*[0-9]+ [0-9]+\n?")
+_ORDER_HEADER = re.compile(r"#\s*n\s*=\s*([0-9]+)\s*$")
+# A node id on the line path: ASCII decimal, with a sign only to be refused as
+# negative.  int() alone also reads "+1", "1_0" and non-ASCII digits.
+_NODE_ID = re.compile(r"-?[0-9]+")
+# The line breaks of str.splitlines() other than "\n".
+_LINE_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# One line of plain text: "u v" in ASCII digits, or a comment that starts the
+# line, is no order header and holds no other line break.
+_PLAIN_LINE = rf"(?:[0-9]+ [0-9]+|#(?!\s*n\s*=)[^\n{_LINE_BREAKS}]*)"
+# One or more plain lines, the last newline optional.
+_PLAIN = re.compile(rf"(?:{_PLAIN_LINE}\n)*{_PLAIN_LINE}\n?")
+_COMMENT_LINE = re.compile(r"^#.*\n?", re.MULTILINE)
 # Plain text is checked and split in blocks of about this many characters,
 # each ending at a newline, so the regex and the split hold one block at a time.
 _BLOCK_CHARS = 1 << 14
+# from_edge_list flattens this many edges at a time into the node table.
+_BLOCK_EDGES = 1 << 12
 # to_edge_list joins the lines of this many nodes at a time.
 _WRITE_NODES = 4096
 
@@ -133,48 +150,25 @@ def _validated(
     return n, pairs
 
 
-def from_edge_list(edges: Iterable[tuple[int, int]], n: int | None = None) -> Graph:
-    """Build a graph from (u, v) pairs, rejecting self-loops and duplicates.
+def _from_blocks(blocks: Iterable[list[int] | None], limit: int, order: int = 0) -> Graph | None:
+    """Build through a node table from blocks of flat ids u0, v0, u1, v1, ...
 
-    If ``n`` is omitted the order is 1 + the largest id appearing.  With an
-    explicit ``n``, ids must all be below it; ids in [0, n) that appear in no
-    edge become isolated nodes.
+    ``node[i] is i``, so the graph holds one int object per node.  The order is
+    the larger of ``order`` and 1 + the largest id.  None, without naming the
+    fault, as soon as a block is None or holds an id outside [0, limit), when
+    a self-loop or a duplicate leaves a repeat in some neighbour list, or when
+    the graph would have no node.
     """
-    if n is not None and n < 1:
-        raise EdgeListError(f"order must be at least 1, got n={n}")
-    return _build(*_validated(edges, lambda: n))
-
-
-def parse_edge_list(text: str, *, connected: bool = False) -> Graph:
-    """Parse the edge-list text format; errors carry the offending line number.
-
-    With ``connected``, fewer than n - 1 edges fail before n nodes are allocated.
-    Plain text takes a bulk path with the same result; the line path decides
-    every other text and raises every error.
-    """
-    return _parse_plain(text, connected) or _parse_lines(text, connected)
-
-
-def _parse_plain(text: str, connected: bool) -> Graph | None:
-    # The graph of plain text, one block of lines at a time; None whenever
-    # the text is not plain or holds a fault, so that the line path names it.
-    # An id at or above the bound would leave a node in no edge (or, under
-    # connected, too few edges), so the table of ids never outgrows the text.
-    lines = text.count("\n") + 1
-    bound = lines + 1 if connected else 2 * lines
-    node: list[int] = []  # node[i] is i: one int object per node
+    node: list[int] = []
     adj: list[list[int]] = []
-    m = start = 0
-    while start < len(text):
-        end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(text)
-        if not _PLAIN.fullmatch(text, start, end):
+    m = 0
+    for ids in blocks:
+        if ids is None:
             return None
-        try:
-            ids = list(map(int, text[start:end].split()))
-        except ValueError:  # an id longer than int() accepts
-            return None
+        if not ids:
+            continue
         top = max(ids)
-        if top >= bound:
+        if top >= limit or min(ids) < 0:
             return None
         if top >= len(node):
             adj += [[] for _ in range(len(node), top + 1)]
@@ -184,13 +178,86 @@ def _parse_plain(text: str, connected: bool) -> Graph | None:
             adj[u].append(v)
             adj[v].append(u)
         m += len(ids) // 2
-        start = end
-    if not m or (connected and m < len(node) - 1):
-        return None
-    # A self-loop or a duplicate leaves a repeat in some neighbour list.
-    if sum(map(len, map(set, adj))) != 2 * m:
+    adj += [[] for _ in range(len(adj), order)]
+    if not adj or sum(map(len, map(set, adj))) != 2 * m:
         return None
     return _frozen(adj)
+
+
+def from_edge_list(edges: Iterable[tuple[int, int]], n: int | None = None) -> Graph:
+    """Build a graph from (u, v) pairs, rejecting self-loops and duplicates.
+
+    If ``n`` is omitted the order is 1 + the largest id appearing.  With an
+    explicit ``n``, ids must all be below it; ids in [0, n) that appear in no
+    edge become isolated nodes.  The edges are built through the node table;
+    only a fault, or without ``n`` an id of 2m or more, goes to ``_validated``,
+    which names the first bad edge.
+    """
+    if n is not None and n < 1:
+        raise EdgeListError(f"order must be at least 1, got n={n}")
+    edges = edges if isinstance(edges, list) else list(edges)
+    limit = 2 * len(edges) if n is None else n
+    return (_from_blocks(_edge_blocks(edges), limit, n or 0)
+            or _build(*_validated(edges, lambda: n)))
+
+
+def _edge_blocks(edges: list[tuple[int, int]]) -> Iterator[list[int] | None]:
+    # u0, v0, u1, v1, ... of each block of edges; None once an edge is no pair.
+    for lo in range(0, len(edges), _BLOCK_EDGES):
+        block = edges[lo:lo + _BLOCK_EDGES]
+        ids = list(chain.from_iterable(block))
+        yield ids if len(ids) == 2 * len(block) else None
+
+
+def parse_edge_list(text: str, *, connected: bool = False) -> Graph:
+    """Parse the edge-list text format; errors carry the offending line number.
+
+    With ``connected``, fewer than n - 1 edges fail before n nodes are allocated.
+    Plain text, comment lines included but no order header, takes a bulk path
+    with the same result; the line path decides every other text and raises
+    every error.
+    """
+    return _parse_plain(text, connected) or _parse_lines(text, connected)
+
+
+def _parse_plain(text: str, connected: bool) -> Graph | None:
+    # The graph of plain text, one block of lines at a time; None whenever
+    # the text is not plain or holds a fault, so that the line path names it.
+    # An id at or above the bound would leave a node in no edge (or, under
+    # connected, too few edges), so the table of ids never outgrows the edge
+    # lines.  In plain text every comment line starts the text or follows "\n".
+    edge_lines = text.count("\n") + 1 - text.count("\n#") - text.startswith("#")
+    bound = edge_lines + 1 if connected else 2 * edge_lines
+    g = _from_blocks(_plain_blocks(text), bound)
+    if g is None or (connected and g.edge_count() < g.n - 1):
+        return None
+    return g
+
+
+def _plain_blocks(text: str) -> Iterator[list[int] | None]:
+    # The ids of each block of whole lines, comment lines stripped; None, and
+    # no more, once a block is not plain.
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(text)
+        if not _PLAIN.fullmatch(text, start, end):
+            yield None
+            return
+        block = text[start:end]
+        if "#" in block:
+            block = _COMMENT_LINE.sub("", block)
+        try:
+            ids = list(map(int, block.split()))
+        except ValueError:  # an id longer than int() accepts
+            ids = None
+        yield ids
+        start = end
+
+
+def _node_id(token: str) -> int:
+    if not _NODE_ID.fullmatch(token):
+        raise ValueError(token)
+    return int(token)
 
 
 def _parse_lines(text: str, connected: bool) -> Graph:
@@ -217,7 +284,7 @@ def _parse_lines(text: str, connected: bool) -> Graph:
             if len(parts) != 2:
                 raise EdgeListError(f"expected two node ids, got {stripped!r}", line=line_no)
             try:
-                u, v = int(parts[0]), int(parts[1])
+                u, v = map(_node_id, parts)
             except ValueError:
                 raise EdgeListError(f"non-integer node id in {stripped!r}", line=line_no) from None
             lines.append(line_no)

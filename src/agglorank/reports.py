@@ -103,9 +103,8 @@ def render_verify(report: VerifyReport, fmt: str) -> str:
     rows, items = [], []
     for row in report.rows:
         cells = [row.spec, row.check, str(row.analytic), str(row.engine)]
-        match = row.match
-        items.append(dict(zip(header, cells), match=match))
-        rows.append(cells + ["yes" if match else "NO"])
+        items.append(dict(zip(header, cells), match=row.match))
+        rows.append(cells + ["yes" if row.match else "NO"])
     total, mismatches = report.total, report.mismatches
     doc = {
         "rows": items,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -40,10 +40,11 @@ class VerifyRow:
     check: str
     analytic: Fraction
     engine: Fraction
+    match: bool = field(init=False)
 
-    @property
-    def match(self) -> bool:
-        return self.analytic == self.engine
+    def __post_init__(self):
+        # The two values are compared once, here; the render and the count read the result.
+        object.__setattr__(self, "match", self.analytic == self.engine)
 
 
 @dataclass

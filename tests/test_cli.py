@@ -279,6 +279,13 @@ class TestConnectivityPrecondition:
         assert "ids not dense" in err and "unreachable" in err
 
     @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_an_id_that_is_no_ascii_decimal_exits_2(self, capsys, tmp_path, command):
+        # int() reads "1_0" as 10, which would name 11 nodes for one edge.
+        source = write(tmp_path, "underscore.edges", "1_0 2\n")
+        code, _, err = run(capsys, command, source, *self.ARGS[command])
+        assert (code, err) == (2, "error: line 1: non-integer node id in '1_0 2'\n")
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
     def test_huge_declared_order_exits_3_before_allocating(self, capsys, tmp_path,
                                                            monkeypatch, command):
         build = graph._build

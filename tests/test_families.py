@@ -1,8 +1,12 @@
 """Family generators: numbering, roles, degrees, identities, serialization."""
 
-import pytest
+import re
 
-from agglorank import closed_forms
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from agglorank import closed_forms, families, graph
 from agglorank.agglomeration import phi
 from agglorank.errors import EdgeListError, FamilyParameterError
 from agglorank.families import (
@@ -193,6 +197,27 @@ class TestLabeledSerialization:
         with pytest.raises(EdgeListError, match="^class comment for unknown node 99$"):
             read_labeled(text)
 
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_labeled_text_takes_the_bulk_path(self, monkeypatch, name):
+        def no_lines(text, connected):
+            raise AssertionError("labeled text went line by line")
+
+        cls = FAMILIES[name]
+        spec = cls.from_grid(**{param: hi for param, (_, hi) in cls.GRID.items()})
+        lg = generate(spec)
+        monkeypatch.setattr(graph, "_parse_lines", no_lines)
+        assert read_labeled(write_labeled(lg)) == lg
+
+    def test_repeated_lines_are_named_by_line(self):
+        text = write_labeled(generate(PathSpec(4)))
+        with pytest.raises(EdgeListError, match="^line 6: repeated class comment for node 2$"):
+            scan_class_comments(text.replace("0 1\n", "# class 2 x\n"))
+        with pytest.raises(EdgeListError, match="^line 4: second '# family' line$"):
+            read_labeled(text.replace("# class 2 path_inner", "# family path n=4"))
+        # A line break that str.splitlines() takes, other than "\n", counts a line.
+        with pytest.raises(EdgeListError, match="^line 7: repeated class comment for node 2$"):
+            scan_class_comments(text.replace("0 1\n", "#\u2028# class 2 x\n"))
+
 
 @pytest.mark.parametrize("name", list(FAMILIES))
 def test_registry_entry_is_complete(name):
@@ -201,3 +226,47 @@ def test_registry_entry_is_complete(name):
     assert set(generate(floor).classes) == set(cls.ROLES)
     assert callable(getattr(closed_forms, f"phi_{name}", None))
     assert callable(getattr(closed_forms, f"imc_{name}", None))
+
+
+# The scans that class and family lines had before they searched the whole
+# text: every line of str.splitlines(), stripped, matched in turn.
+_NUMBERED = {
+    families._CLASS_LINE: re.compile(r"#\s*class\s+([0-9]+)\s+(\S+)\s*$"),
+    families._FAMILY_LINE: re.compile(r"#\s*family\s+(\w+)((?:\s+[a-z]+=[0-9]+)+)\s*$"),
+}
+
+
+def numbered_lines(pattern, text):
+    old = _NUMBERED[pattern]
+    found = ((no, old.match(raw.strip())) for no, raw in enumerate(text.splitlines(), start=1))
+    return [(no, m.groups()) for no, m in found if m]
+
+
+def numbered_class_scan(text):
+    classes = {}
+    for line_no, (v, label) in numbered_lines(families._CLASS_LINE, text):
+        if int(v) in classes:
+            return f"line {line_no}: repeated class comment for node {int(v)}", line_no
+        classes[int(v)] = label
+    return classes
+
+
+# Pieces of class and family lines, whitespace, and each line break of
+# str.splitlines(), so that lines split, join and repeat.
+_SCAN_PIECES = ["# class ", "#class", " class ", "class ", "# family path n=", " m=", "0", "1", "7", "٣",
+                " ", "\t", "\xa0", "\x1f", "x", "path_end", "#", "\n", "\n", "\r\n",
+                *families._LINE_BREAKS]
+
+
+@given(st.lists(st.sampled_from(_SCAN_PIECES), max_size=30).map("".join))
+@example("#\nclass 1 x\n# class 2\ny\n# class 3 z\n\n# family path\nn=4\n")
+@settings(max_examples=500, deadline=None)
+def test_class_and_family_lines_are_found_as_the_numbered_loop_finds_them(text):
+    for pattern in _NUMBERED:
+        found = [(no, m.groups()) for no, m in families._matching_lines(pattern, text)]
+        assert found == numbered_lines(pattern, text)
+    try:
+        scanned = scan_class_comments(text)
+    except EdgeListError as exc:
+        scanned = str(exc), exc.line
+    assert scanned == numbered_class_scan(text)

@@ -1,6 +1,7 @@
 """Graph core: parsing, degrees, connectivity, BFS, distance sums."""
 
 import random
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -328,6 +329,59 @@ def test_bad_edge_is_located_by_index_and_by_line(word, edges, bad, n):
     assert info.value.line == bad + 2
 
 
+# Edges with every kind of fault, and a declared order that some ids exceed.
+@given(st.lists(st.tuples(st.integers(-2, 9), st.integers(-2, 9)), max_size=12),
+       st.one_of(st.none(), st.integers(1, 10)))
+@settings(max_examples=300, deadline=None)
+def test_from_edge_list_agrees_with_the_validator(edges, n):
+    def outcome(build):
+        try:
+            return build()
+        except EdgeListError as exc:
+            return str(exc)
+
+    assert (outcome(lambda: from_edge_list(edges, n=n))
+            == outcome(lambda: graph._build(*graph._validated(edges, lambda: n))))
+    assert (outcome(lambda: from_edge_list(iter(edges), n=n))
+            == outcome(lambda: from_edge_list(edges, n=n)))
+
+
+def test_from_edge_list_builds_through_the_node_table(monkeypatch):
+    def no_validator(*args):
+        raise AssertionError("edges without a fault went to the validator")
+
+    monkeypatch.setattr(graph, "_validated", no_validator)
+    # Each endpoint its own int object; the graph keeps one per node.
+    edges = [(int(str(u)), int(str(v))) for u, v in [(2000, 2001), (2001, 2002), (2000, 2002)]]
+    g = from_edge_list(edges, n=2003)
+    assert g.n == 2003 and g.adj[2001] == (2000, 2002) and g.adj[0] == ()
+    assert _shared_ints(g) == 3
+    assert from_edge_list([(i, i + 1) for i in range(3 * graph._BLOCK_EDGES)]) == path(
+        3 * graph._BLOCK_EDGES + 1)
+
+
+# Tokens that int() reads but that are no ASCII decimal id.
+@pytest.mark.parametrize("line", ["1_0 2", "+1 2", "٣ 1", "0 １", "1 ৫"])
+def test_node_ids_are_ascii_decimal(line):
+    text = f"0 1\n{line}\n"
+    with pytest.raises(EdgeListError) as info:
+        parse_edge_list(text)
+    assert (str(info.value), info.value.line) == (
+        f"line 2: non-integer node id in {line!r}", 2)
+    assert_paths_agree(text)
+
+
+def test_a_signed_id_is_still_refused_as_negative():
+    with pytest.raises(EdgeListError, match="^line 1: negative node id in '-1 2'$"):
+        parse_edge_list("-01 2\n")
+
+
+def test_an_order_header_needs_ascii_digits():
+    # "# n=٣" is an ordinary comment, so the order comes from the edges.
+    assert parse_edge_list("# n=٣\n0 1\n") == path(2)
+    assert parse_edge_list("# n=3\n0 1\n").n == 3
+
+
 @st.composite
 def connected_graphs(draw, min_n=2, max_n=8):
     n = draw(st.integers(min_n, max_n))
@@ -374,9 +428,11 @@ def test_random_generator_is_connected(seed):
     assert is_connected(g)
 
 
-# Pieces of hostile edge-list text: ids, signs and underscores that int()
-# accepts, line breaks that str.splitlines() splits on, and non-ASCII digits.
-_TEXT_PIECES = list("0123456789 \t\n\r\x0b+-_#n=x") + ["# n=", "#n=", "٣", "１", "৫"]
+# Pieces of hostile edge-list text: signs, underscores and non-ASCII digits
+# that int() reads but a node id may not hold, line breaks that
+# str.splitlines() splits on, order headers and class comments.
+_TEXT_PIECES = list("0123456789 \t\n\r\x0b+-_#n=x") + [
+    "# n=", "#n=", "# class ", "٣", "１", "৫", "\u2028", "\x85", "\x1c"]
 _REAL_BUILD = graph._build
 
 
@@ -423,10 +479,18 @@ _SEPARATORS = st.sampled_from([" ", " ", " ", "\t", "  "])
 _ENDINGS = st.sampled_from(["\n", "\n", "\n", "\r\n", ""])
 
 
+# Comment lines: those of labeled files, a bare "#", order headers (which
+# only the line path reads), and comments that hold each line break of
+# str.splitlines() other than "\n" before an edge.
+_COMMENTS = st.sampled_from(["# class 3 path_end", "# family path n=4", "#", "# n=3", "#n=3",
+                             *(f"# x{c}1 2" for c in graph._LINE_BREAKS)])
+
+
 @st.composite
 def plain_texts(draw):
-    edges = draw(st.lists(_EDGE, max_size=20))
-    return "".join(f"{u}{draw(_SEPARATORS)}{v}{draw(_ENDINGS)}" for u, v in edges)
+    lines = draw(st.lists(st.one_of(_EDGE, _EDGE, _COMMENTS), max_size=20))
+    return "".join((line if isinstance(line, str) else f"{line[0]}{draw(_SEPARATORS)}{line[1]}")
+                   + draw(_ENDINGS) for line in lines)
 
 
 @given(plain_texts())
@@ -439,11 +503,12 @@ def test_bulk_path_raises_nothing_and_agrees_with_the_line_path(text):
             assert g == graph._parse_lines(text, connected)
 
 
-def test_plain_text_takes_the_bulk_path(monkeypatch):
-    def no_lines(text, connected):
-        raise AssertionError("plain text went line by line")
+def _no_lines(text, connected):
+    raise AssertionError("plain text went line by line")
 
-    monkeypatch.setattr(graph, "_parse_lines", no_lines)
+
+def test_plain_text_takes_the_bulk_path(monkeypatch):
+    monkeypatch.setattr(graph, "_parse_lines", _no_lines)
     assert parse_edge_list("0 1\n1 2\n2 0\n3 2", connected=True) == from_edge_list(
         [(0, 1), (1, 2), (0, 2), (2, 3)])
     assert parse_edge_list(to_edge_list(path(500)), connected=True) == path(500)
@@ -533,25 +598,83 @@ def test_ids_at_the_bound_go_line_by_line(monkeypatch, block_chars):
         assert_paths_agree(text)
 
 
+@pytest.mark.parametrize("block_chars", [*_SMALL_BLOCKS, graph._BLOCK_CHARS])
+def test_comment_lines_take_the_bulk_path(monkeypatch, block_chars):
+    # Blocks of comments alone add no ids; a comment may hold any character
+    # but a line break, and may end the text without a newline.
+    monkeypatch.setattr(graph, "_BLOCK_CHARS", block_chars)
+    monkeypatch.setattr(graph, "_parse_lines", _no_lines)
+    text = ("# family path n=3\n# class 0 path_end\n#\n#\t n 3 = ×\n0 1\n"
+            "# class 1 path_inner\n1 2\n# end")
+    assert parse_edge_list(text, connected=True) == path(3)
+    assert parse_edge_list("#\n" * 50 + to_edge_list(path(50)) + "#\n" * 50) == path(50)
+
+
+@pytest.mark.parametrize("block_chars", [*_SMALL_BLOCKS, graph._BLOCK_CHARS])
+@pytest.mark.parametrize("text", ["# n=3\n0 1\n1 2\n", "#n = 3\n0 1\n1 2\n",
+                                  "0 1\n # x\n1 2\n", "0 1\n# x\r\n1 2\n",
+                                  "0 1\n# x\u2028 1 2\n2 3\n"])
+def test_order_headers_indented_comments_and_other_breaks_go_line_by_line(
+        monkeypatch, block_chars, text):
+    # The last would lose the edge "1 2" that the line path reads after the
+    # comment's line break, if the bulk path took it as one comment.
+    monkeypatch.setattr(graph, "_BLOCK_CHARS", block_chars)
+    assert graph._parse_plain(text, False) is None
+    assert_paths_agree(text)
+
+
+@pytest.mark.parametrize("block_chars", [*_SMALL_BLOCKS, graph._BLOCK_CHARS])
+def test_the_id_bound_counts_edge_lines_only(monkeypatch, block_chars):
+    # Else a text of comments and one far edge would allocate a node table
+    # as long as the text.
+    monkeypatch.setattr(graph, "_BLOCK_CHARS", block_chars)
+    text = "#\n" * 1000 + "0 999\n"
+    assert graph._parse_plain(text, False) is None
+    assert graph._parse_plain(text, True) is None
+    assert graph._parse_plain("#\n" * 1000 + "0 1\n", True) == path(2)
+    assert_paths_agree(text)
+
+
 def _shared_ints(g):
     return len({id(x) for nbrs in g.adj for x in nbrs})
 
 
-def test_plain_parse_memory_stays_near_the_graph():
+def _random_edge_text(n, m):
     rng = random.Random("parse-memory")
-    n, m = 20_000, 40_000
     edges = {(rng.randrange(v), v) for v in range(1, n)}
     while len(edges) < m:
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    text = "".join(f"{u} {v}\n" for u, v in rng.sample(sorted(edges), m))
+    return "".join(f"{u} {v}\n" for u, v in rng.sample(sorted(edges), m))
+
+
+def test_plain_parse_memory_stays_near_the_graph():
+    n, m = 20_000, 40_000
+    assert_parse_peak_near_the_graph(_random_edge_text(n, m), n, m)
+
+
+def test_labeled_parse_memory_stays_near_the_graph():
+    n, m = 20_000, 40_000
+    head = "# family none\n" + "".join(f"# class {v} role_{v % 7}\n" for v in range(n))
+    assert_parse_peak_near_the_graph(head + _random_edge_text(n, m), n, m)
+
+
+def _graph_bytes(g):
+    # The graph's own memory.  tracemalloc would miss the tuples that CPython
+    # takes from its free lists, which the graphs of earlier tests fill.
+    ints = {id(x): x for nbrs in g.adj for x in nbrs}.values()
+    return sys.getsizeof(g.adj) + sum(map(sys.getsizeof, g.adj)) + sum(map(sys.getsizeof, ints))
+
+
+def assert_parse_peak_near_the_graph(text, n, m):
     tracemalloc.start()
     try:
         g = parse_edge_list(text, connected=True)
-        size, peak = tracemalloc.get_traced_memory()
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    size = _graph_bytes(g)
     assert (g.n, g.edge_count()) == (n, m)
     assert peak < 2 * size, f"parse peak {peak} B for a graph of {size} B"
     assert _shared_ints(g) == n

@@ -6,6 +6,7 @@ import pytest
 from agglorank import agglomeration, closed_forms
 from agglorank.errors import FormulaDomainError
 from agglorank.families import FAMILIES, MAX_SIZE, PathSpec
+from agglorank.reports import FORMATS, render_verify
 from agglorank.verify import (
     VerifyReport,
     VerifyRow,
@@ -114,6 +115,25 @@ def test_mismatch_accounting():
     report = VerifyReport(rows=[good, bad], notes=[], violations=["X: ordering"])
     assert report.total == 2
     assert report.mismatches == 2
+
+
+def test_each_row_compares_its_values_once():
+    # Rendering the report and counting its mismatches, as verify does, read
+    # each row's match; the two Fractions are compared when the row is made.
+    compared = []
+
+    class Counted(Fraction):
+        def __eq__(self, other):
+            compared.append(self)
+            return super().__eq__(other)
+
+    rows = [VerifyRow("X", "phi", Counted(1, 2), Fraction(1, 2)),
+            VerifyRow("X", "phi", Counted(1, 2), Fraction(1, 3))]
+    report = VerifyReport(rows=rows, notes=[], violations=[])
+    for fmt in FORMATS:
+        render_verify(report, fmt)
+    assert report.mismatches == 1
+    assert len(compared) == len(rows)
 
 
 def test_grid_at_the_size_limit_is_admitted():
