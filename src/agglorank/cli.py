@@ -30,20 +30,17 @@ EXIT_USAGE = 2
 EXIT_DISCONNECTED = 3
 EXIT_MISMATCH = 4
 
-_RANGE = re.compile(r"(\d+)\.\.(\d+)$")
+_RANGE = re.compile(r"([0-9]+)(?:\.\.([0-9]+))?")
 
 # Family subcommands are the registry's names with hyphens.
 _FAMILY_BY_COMMAND = {name.replace("_", "-"): cls for name, cls in FAMILIES.items()}
 
 
 def _range_arg(text: str) -> tuple[int, int]:
-    m = _RANGE.match(text)
-    if m:
-        return int(m.group(1)), int(m.group(2))
-    if text.isdigit():
-        value = int(text)
-        return value, value
-    raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}")
+    m = _RANGE.fullmatch(text)
+    if not m:
+        raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}")
+    return int(m.group(1)), int(m.group(2) or m.group(1))
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:

@@ -34,8 +34,8 @@ from dataclasses import dataclass, fields
 from typing import ClassVar, Iterator
 
 from .errors import EdgeListError, FamilyParameterError
-from .graph import (_LINE_BREAKS, _WRITE_NODES, Graph, _check_node, from_edge_list, parse_edge_list,
-                    to_edge_list)
+from .graph import (_WRITE_NODES, Graph, _check_node, _newlines_only, from_edge_list,
+                    parse_edge_list, to_edge_list)
 
 
 class NodeClass(enum.Enum):
@@ -349,29 +349,23 @@ def class_of(lg: LabeledGraph, v: int) -> NodeClass:
 
 
 # Whole "# family" and "# class" lines, found in the text itself: "\n" ends a
-# line (``_matching_lines`` splits a text with other line breaks first), and
+# line (``_matching_lines`` writes other line breaks as "\n" first), and
 # whitespace around and between fields is any but "\n", as str.strip() sees it.
 _FAMILY_LINE = re.compile(
     r"^[^\S\n]*#[^\S\n]*family[^\S\n]+(\w+)((?:[^\S\n]+[a-z]+=[0-9]+)+)[^\S\n]*$", re.MULTILINE)
 _CLASS_LINE = re.compile(
     r"^[^\S\n]*#[^\S\n]*class[^\S\n]+([0-9]+)[^\S\n]+(\S+)[^\S\n]*$", re.MULTILINE)
 _FIELD = re.compile(r"([a-z]+)=([0-9]+)")
-_OTHER_BREAK = re.compile(f"[{_LINE_BREAKS}]")
 
 
 def _matching_lines(pattern: re.Pattern, text: str) -> Iterator[tuple[int, re.Match]]:
     """(line number, match) of each line of text that pattern matches whole.
 
-    Lines are numbered as ``str.splitlines()`` cuts them.  A text whose only
-    line break is "\n" is searched as a whole, with each line number counted
-    from the newlines since the last match; any other text line by line.
+    Lines are numbered as ``str.splitlines()`` cuts them.  The text, its line
+    breaks written as "\n", is searched as a whole, with each line number
+    counted from the newlines since the last match.
     """
-    if _OTHER_BREAK.search(text):
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            m = pattern.match(raw)
-            if m:
-                yield line_no, m
-        return
+    text = _newlines_only(text)
     line_no, pos = 1, 0
     for m in pattern.finditer(text):
         line_no += text.count("\n", pos, m.start())
@@ -413,8 +407,9 @@ def write_labeled(lg: LabeledGraph) -> str:
 def scan_class_comments(text: str) -> dict[int, str]:
     """Collect "# class <id> <label>" lines; labels are kept as raw strings.
 
-    The lines are found by searching the text, with no list of its lines
-    (``_matching_lines``); a second line for one node is an error at its line.
+    The lines are found by one search of the text, its line breaks written as
+    "\n" (``_matching_lines``); a second line for one node is an error at its
+    line.
     """
     classes: dict[int, str] = {}
     for line_no, m in _matching_lines(_CLASS_LINE, text):

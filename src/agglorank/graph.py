@@ -6,15 +6,17 @@ fixes the order explicitly, which is the only way to represent nodes that
 appear in no edge.  Canonical output sorts edges by (min id, max id) with the
 smaller id first on each line.
 
-Graphs are built through a node table, with one int object per node, and a
-self-loop or a duplicate is found from the built adjacency.  Plain text
-("u v" lines of ASCII digits and one space, and comment lines that start the
-line, are no order header and hold no line break but "\n") parses this way in
-bulk, checked and split one block of lines at a time; it declines ids at or
-above a bound taken from the count of edge lines.  Anything else, plain text
-with a fault, or such an id goes line by line, which gives the same graph and
-is the only path that raises.  ``from_edge_list`` builds the same way and
-names a fault from ``_validated``.
+Every graph is built by ``_from_blocks`` through a node table, with one int
+object per node, and a self-loop or a duplicate is found from the built
+adjacency.  Plain text ("u v" lines of ASCII digits and one space, and
+comment lines that start the line and are no order header) parses this way
+in bulk, checked and split one block of lines at a time; it declines ids at
+or above a bound taken from the count of edge lines.  The bulk path reads
+every line break of ``str.splitlines()`` as "\n" (``_newlines_only``).
+Anything else, plain text with a fault, or such an id goes line by line
+through ``_validated``, which gives the same graph and is the only code that
+raises.  ``from_edge_list`` builds the same way and names a fault from
+``_validated``.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ _NODE_ID = re.compile(r"-?[0-9]+")
 # The line breaks of str.splitlines() other than "\n".
 _LINE_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # One line of plain text: "u v" in ASCII digits, or a comment that starts the
-# line, is no order header and holds no other line break.
-_PLAIN_LINE = rf"(?:[0-9]+ [0-9]+|#(?!\s*n\s*=)[^\n{_LINE_BREAKS}]*)"
+# line and is no order header.
+_PLAIN_LINE = r"(?:[0-9]+ [0-9]+|#(?!\s*n\s*=)[^\n]*)"
 # One or more plain lines, the last newline optional.
 _PLAIN = re.compile(rf"(?:{_PLAIN_LINE}\n)*{_PLAIN_LINE}\n?")
 _COMMENT_LINE = re.compile(r"^#.*\n?", re.MULTILINE)
@@ -91,34 +93,20 @@ def _check_node(g: Graph, v: int) -> None:
         raise IndexError(f"node {v} out of range for graph of order {g.n}")
 
 
-def _build(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in pairs:
-        adj[u].append(v)
-        adj[v].append(u)
-    return _frozen(adj)
-
-
-def _frozen(adj: list) -> Graph:
-    # Sort each list in place and swap in its tuple, one list at a time.
-    for v, nbrs in enumerate(adj):
-        nbrs.sort()
-        adj[v] = tuple(nbrs)
-    return Graph(len(adj), tuple(adj))
-
-
 def _validated(
     edges: Iterable[tuple[int, int]],
     declared: Callable[[], int | None],
     line_of: Callable[[int], int] | None = None,
-) -> tuple[int, list[tuple[int, int]]]:
-    """Check edges and fix the order; return (order, canonical pairs).
+    connected: bool = False,
+) -> Graph:
+    """Check edges, fix the order and build the graph through the node table.
 
     Rejects negative ids, self-loops and duplicates as the edges arrive, then
     ids at or above ``declared()``, which is read only once every edge is in
     (a "# n=" header may follow the edges).  With no declared order the order
-    is 1 + the largest id.  An error names edge i by its line ``line_of(i)``
-    when given, else as "edge i".
+    is 1 + the largest id.  With ``connected``, fewer than n - 1 edges fail
+    before n nodes are allocated.  An error names edge i by its line
+    ``line_of(i)`` when given, else as "edge i".
     """
 
     def error(i: int, message: str) -> EdgeListError:
@@ -138,16 +126,20 @@ def _validated(
             raise error(i, f"duplicate edge {u} {v}")
         seen.add(key)
         pairs.append(key)
+    del seen  # the graph is built without it
     n = declared()
     top = max(map(itemgetter(1), pairs), default=-1)
     if n is None:
         if top < 0:
             raise EdgeListError("no edges and no declared order; graph order unknown")
-        return top + 1, pairs
-    if top >= n:
+        n = top + 1
+    elif top >= n:
         i = next(i for i, (_, v) in enumerate(pairs) if v >= n)
         raise error(i, f"node id {pairs[i][1]} outside declared order n={n}")
-    return n, pairs
+    if connected and len(pairs) < n - 1:
+        raise ConnectivityError(
+            f"{len(pairs)} edges cannot connect {n} nodes (ids not dense?): a node is unreachable")
+    return _from_blocks(_edge_blocks(pairs), n, n)
 
 
 def _from_blocks(blocks: Iterable[list[int] | None], limit: int, order: int = 0) -> Graph | None:
@@ -181,7 +173,11 @@ def _from_blocks(blocks: Iterable[list[int] | None], limit: int, order: int = 0)
     adj += [[] for _ in range(len(adj), order)]
     if not adj or sum(map(len, map(set, adj))) != 2 * m:
         return None
-    return _frozen(adj)
+    # Sort each list in place and swap in its tuple, one list at a time.
+    for v, nbrs in enumerate(adj):
+        nbrs.sort()
+        adj[v] = tuple(nbrs)
+    return Graph(len(adj), tuple(adj))
 
 
 def from_edge_list(edges: Iterable[tuple[int, int]], n: int | None = None) -> Graph:
@@ -197,8 +193,7 @@ def from_edge_list(edges: Iterable[tuple[int, int]], n: int | None = None) -> Gr
         raise EdgeListError(f"order must be at least 1, got n={n}")
     edges = edges if isinstance(edges, list) else list(edges)
     limit = 2 * len(edges) if n is None else n
-    return (_from_blocks(_edge_blocks(edges), limit, n or 0)
-            or _build(*_validated(edges, lambda: n)))
+    return _from_blocks(_edge_blocks(edges), limit, n or 0) or _validated(edges, lambda: n)
 
 
 def _edge_blocks(edges: list[tuple[int, int]]) -> Iterator[list[int] | None]:
@@ -213,9 +208,9 @@ def parse_edge_list(text: str, *, connected: bool = False) -> Graph:
     """Parse the edge-list text format; errors carry the offending line number.
 
     With ``connected``, fewer than n - 1 edges fail before n nodes are allocated.
-    Plain text, comment lines included but no order header, takes a bulk path
-    with the same result; the line path decides every other text and raises
-    every error.
+    Plain text, comment lines and any line break of ``str.splitlines()``
+    included but no order header, takes a bulk path with the same result; the
+    line path decides every other text and raises every error.
     """
     return _parse_plain(text, connected) or _parse_lines(text, connected)
 
@@ -226,12 +221,21 @@ def _parse_plain(text: str, connected: bool) -> Graph | None:
     # An id at or above the bound would leave a node in no edge (or, under
     # connected, too few edges), so the table of ids never outgrows the edge
     # lines.  In plain text every comment line starts the text or follows "\n".
+    text = _newlines_only(text)
     edge_lines = text.count("\n") + 1 - text.count("\n#") - text.startswith("#")
     bound = edge_lines + 1 if connected else 2 * edge_lines
     g = _from_blocks(_plain_blocks(text), bound)
     if g is None or (connected and g.edge_count() < g.n - 1):
         return None
     return g
+
+
+def _newlines_only(text: str) -> str:
+    # text with each line break of str.splitlines() written as "\n": every line
+    # keeps its text and its number, and only a line break that ends the text goes.
+    if any(c in text for c in _LINE_BREAKS):
+        return "\n".join(text.splitlines())
+    return text
 
 
 def _plain_blocks(text: str) -> Iterator[list[int] | None]:
@@ -290,11 +294,7 @@ def _parse_lines(text: str, connected: bool) -> Graph:
             lines.append(line_no)
             yield u, v
 
-    n, pairs = _validated(edges(), lambda: declared_n, lines.__getitem__)
-    if connected and len(pairs) < n - 1:
-        raise ConnectivityError(
-            f"{len(pairs)} edges cannot connect {n} nodes (ids not dense?): a node is unreachable")
-    return _build(n, pairs)
+    return _validated(edges(), lambda: declared_n, lines.__getitem__, connected)
 
 
 def to_edge_list(g: Graph) -> str:

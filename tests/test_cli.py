@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from agglorank import agglomeration, graph
-from agglorank.cli import main
-from agglorank.families import FAMILIES, MAX_SIZE
+from agglorank.cli import _range_arg, main
+from agglorank.families import FAMILIES, MAX_SIZE, LollipopSpec, generate, read_labeled, write_labeled
 from agglorank.reports import decimal6
 from agglorank.verify import grid_specs
 
@@ -107,6 +107,24 @@ class TestRank:
         assert lines[1] == "L 46/21"
         first = lines[3].split()
         assert first[:3] == ["3", "comet_center", "17/23"]
+
+    def test_crlf_labeled_file_parses_in_bulk_and_ranks_the_same(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        lg = generate(LollipopSpec(12, 4))
+        lf = write_labeled(lg)
+        crlf = lf.replace("\n", "\r\n")
+
+        def no_lines(text, connected):
+            raise AssertionError("CRLF text went line by line")
+
+        monkeypatch.setattr(graph, "_parse_lines", no_lines)
+        assert read_labeled(crlf) == lg
+        outputs = []
+        for name, text in (("lf.edges", lf), ("crlf.edges", crlf)):
+            (tmp_path / name).write_bytes(text.encode())
+            outputs.append(run(capsys, "rank", str(tmp_path / name)))
+        assert outputs[0][0] == 0 and "lp_junction" in outputs[0][1]
+        assert outputs[1] == outputs[0]
 
     def test_two_node_graph(self, capsys, tmp_path):
         source = write(tmp_path, "p2.edges", "0 1\n")
@@ -288,14 +306,14 @@ class TestConnectivityPrecondition:
     @pytest.mark.parametrize("command", sorted(ARGS))
     def test_huge_declared_order_exits_3_before_allocating(self, capsys, tmp_path,
                                                            monkeypatch, command):
-        build = graph._build
+        build = graph._from_blocks
 
-        def bounded_build(n, pairs):
-            if n > 10**6:
-                raise AssertionError(f"allocated the adjacency of {n} nodes")
-            return build(n, pairs)
+        def bounded_build(blocks, limit, order=0):
+            if order > 10**6:
+                raise AssertionError(f"allocated the adjacency of {order} nodes")
+            return build(blocks, limit, order)
 
-        monkeypatch.setattr(graph, "_build", bounded_build)
+        monkeypatch.setattr(graph, "_from_blocks", bounded_build)
         source = write(tmp_path, "huge.edges", "# n=1000000000000\n")
         code, _, err = run(capsys, command, source, *self.ARGS[command])
         assert code == 3
@@ -421,6 +439,19 @@ class TestVerify:
         with pytest.raises(SystemExit) as info:
             main(["verify", "path", "--n", "4..x"])
         assert info.value.code == 2
+
+    # Non-ASCII digits, which int() reads, and a trailing newline, which "$" allows.
+    @pytest.mark.parametrize("text", ["٤..٦", "１", "4..٦", "4..6\n", "5\n", " 5", "4..",
+                                      "..6", "4...6", ""])
+    def test_a_range_is_ascii_decimal(self, capsys, no_build, text):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "path", "--n", text])
+        assert info.value.code == 2
+        assert f"expected N or LO..HI, got {text!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,bounds", [("4..6", (4, 6)), ("5", (5, 5)), ("07..010", (7, 10))])
+    def test_a_range_reads_n_or_lo_hi(self, text, bounds):
+        assert _range_arg(text) == bounds
 
 
 class TestDecimalDisplay:

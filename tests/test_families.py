@@ -255,7 +255,7 @@ def numbered_class_scan(text):
 # str.splitlines(), so that lines split, join and repeat.
 _SCAN_PIECES = ["# class ", "#class", " class ", "class ", "# family path n=", " m=", "0", "1", "7", "٣",
                 " ", "\t", "\xa0", "\x1f", "x", "path_end", "#", "\n", "\n", "\r\n",
-                *families._LINE_BREAKS]
+                *graph._LINE_BREAKS]
 
 
 @given(st.lists(st.sampled_from(_SCAN_PIECES), max_size=30).map("".join))

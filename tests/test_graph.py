@@ -341,7 +341,7 @@ def test_from_edge_list_agrees_with_the_validator(edges, n):
             return str(exc)
 
     assert (outcome(lambda: from_edge_list(edges, n=n))
-            == outcome(lambda: graph._build(*graph._validated(edges, lambda: n))))
+            == outcome(lambda: graph._validated(edges, lambda: n)))
     assert (outcome(lambda: from_edge_list(iter(edges), n=n))
             == outcome(lambda: from_edge_list(edges, n=n)))
 
@@ -433,23 +433,23 @@ def test_random_generator_is_connected(seed):
 # str.splitlines() splits on, order headers and class comments.
 _TEXT_PIECES = list("0123456789 \t\n\r\x0b+-_#n=x") + [
     "# n=", "#n=", "# class ", "٣", "１", "৫", "\u2028", "\x85", "\x1c"]
-_REAL_BUILD = graph._build
+_REAL_BUILD = graph._from_blocks
 
 
 class _Unbuilt(Exception):
     pass
 
 
-def _bounded_build(n, pairs):
+def _bounded_build(blocks, limit, order=0):
     # Random digits can name an order far too large to allocate.
-    if n > 10_000:
-        raise _Unbuilt(n)
-    return _REAL_BUILD(n, pairs)
+    if order > 10_000:
+        raise _Unbuilt(order)
+    return _REAL_BUILD(blocks, limit, order)
 
 
 def _outcome(parse, text, connected):
     """The graph a parser returns, or what it raises: type, message and line."""
-    with mock.patch.object(graph, "_build", _bounded_build):
+    with mock.patch.object(graph, "_from_blocks", _bounded_build):
         try:
             return parse(text, connected=connected)
         except (EdgeListError, ConnectivityError, _Unbuilt) as exc:
@@ -612,15 +612,23 @@ def test_comment_lines_take_the_bulk_path(monkeypatch, block_chars):
 
 @pytest.mark.parametrize("block_chars", [*_SMALL_BLOCKS, graph._BLOCK_CHARS])
 @pytest.mark.parametrize("text", ["# n=3\n0 1\n1 2\n", "#n = 3\n0 1\n1 2\n",
-                                  "0 1\n # x\n1 2\n", "0 1\n# x\r\n1 2\n",
-                                  "0 1\n# x\u2028 1 2\n2 3\n"])
-def test_order_headers_indented_comments_and_other_breaks_go_line_by_line(
-        monkeypatch, block_chars, text):
-    # The last would lose the edge "1 2" that the line path reads after the
-    # comment's line break, if the bulk path took it as one comment.
+                                  "0 1\n # x\n1 2\n", "0 1\n# x\u2028 1 2\n2 3\n"])
+def test_order_headers_and_indented_comments_go_line_by_line(monkeypatch, block_chars, text):
+    # In the last, the line break ends the comment, and " 1 2" is indented.
     monkeypatch.setattr(graph, "_BLOCK_CHARS", block_chars)
     assert graph._parse_plain(text, False) is None
     assert_paths_agree(text)
+
+
+@pytest.mark.parametrize("block_chars", [*_SMALL_BLOCKS, graph._BLOCK_CHARS])
+@pytest.mark.parametrize("brk", ["\r\n", *graph._LINE_BREAKS])
+def test_other_line_breaks_take_the_bulk_path(monkeypatch, block_chars, brk):
+    # Each break ends its line, in a comment too: "1 2" after "# x" is an edge.
+    monkeypatch.setattr(graph, "_BLOCK_CHARS", block_chars)
+    text = f"0 1{brk}# x{brk}1 2{brk}2 3{brk}"
+    assert_paths_agree(text)
+    monkeypatch.setattr(graph, "_parse_lines", _no_lines)
+    assert parse_edge_list(text, connected=True) == path(4)
 
 
 @pytest.mark.parametrize("block_chars", [*_SMALL_BLOCKS, graph._BLOCK_CHARS])
@@ -637,6 +645,19 @@ def test_the_id_bound_counts_edge_lines_only(monkeypatch, block_chars):
 
 def _shared_ints(g):
     return len({id(x) for nbrs in g.adj for x in nbrs})
+
+
+def test_the_line_path_keeps_one_int_per_node():
+    text = _random_edge_text(2000, 4000).replace(" ", "\t")
+    assert graph._parse_plain(text, True) is None
+    g = parse_edge_list(text, connected=True)
+    assert (g.n, g.edge_count()) == (2000, 4000)
+    assert _shared_ints(g) == g.n
+
+
+def test_line_breaks_are_those_of_splitlines():
+    breaks = {c for c in map(chr, range(sys.maxunicode + 1)) if len(f"a{c}b".splitlines()) == 2}
+    assert sorted(graph._LINE_BREAKS) == sorted(breaks - {"\n"})
 
 
 def _random_edge_text(n, m):
