@@ -15,13 +15,14 @@ import re
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .agglomeration import imc_all, phi_and_length, usable_cpus
-from .contraction import contract
+from .contraction import ContractionResult, contract
 from .errors import AggloRankError, ConnectivityError, EdgeListError, FamilyParameterError
 from .families import (FAMILIES, MAX_SIZE, check_class_nodes, generate, scan_class_comments,
                        write_labeled)
-from .graph import bfs_distances, parse_edge_list, to_edge_list
+from .graph import _WRITE_NODES, bfs_distances, parse_edge_list, to_edge_list
 from .reports import FORMATS, render_phi, render_rank, render_verify
 from .verify import verify_family
 
@@ -43,14 +44,16 @@ def _range_arg(text: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2) or m.group(1))
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _emit(args: argparse.Namespace, blocks: Iterable[str]) -> None:
+    # Write the blocks in order, each encoded and freed before the next is made.
     # Output is UTF-8, as input is, whatever the locale.
     if getattr(args, "output", None):
-        Path(args.output).write_text(text, encoding="utf-8")
+        with open(args.output, "w", encoding="utf-8") as out:
+            out.writelines(blocks)
         return
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8")
-    sys.stdout.write(text)
+    sys.stdout.writelines(blocks)
 
 
 def _read_graph(args: argparse.Namespace):
@@ -68,7 +71,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         raise FamilyParameterError(
             f"{spec.label()} would have {spec.order} nodes and {spec.size} edges; "
             f"gen builds at most {MAX_SIZE} nodes plus edges")
-    _emit(args, write_labeled(generate(spec)))
+    _emit(args, [write_labeled(generate(spec))])
     return EXIT_OK
 
 
@@ -77,14 +80,14 @@ def cmd_rank(args: argparse.Namespace) -> int:
     classes = scan_class_comments(text)
     check_class_nodes(classes, g.n)
     report = imc_all(g, jobs=args.jobs)
-    _emit(args, render_rank(report, classes or None, args.format))
+    _emit(args, [render_rank(report, classes or None, args.format)])
     return EXIT_OK
 
 
 def cmd_phi(args: argparse.Namespace) -> int:
     _, g = _read_graph(args)
     value, length = phi_and_length(g)
-    _emit(args, render_phi(value, length, args.format))
+    _emit(args, [render_phi(value, length, args.format)])
     return EXIT_OK
 
 
@@ -98,19 +101,25 @@ def cmd_contract(args: argparse.Namespace) -> int:
         bfs_distances(g, 0)  # connectivity precondition, names an unreachable node
     result = contract(g, args.node)
     del g  # the input graph is not needed to write the result
-    header = [f"# merged {result.merged_into}\n"]
-    header += [f"# map {old} {new}\n" for old, new in result.old_to_new.items()]
-    text = "".join(header) + to_edge_list(result.graph)
-    del header, result  # nor is the graph once its text is built: writing encodes a copy
-    _emit(args, text)
+    _emit(args, _contraction_blocks(result))
     return EXIT_OK
+
+
+def _contraction_blocks(result: ContractionResult) -> Iterator[str]:
+    # "# merged", the "# map" lines of _WRITE_NODES old ids at a time, then the edges.
+    yield f"# merged {result.merged_into}\n"
+    new_ids, merged = result.new_ids, result.merged_into
+    for lo in range(0, len(new_ids), _WRITE_NODES):
+        rows = enumerate(new_ids[lo:lo + _WRITE_NODES], lo)
+        yield "".join([f"# map {old} {new}\n" for old, new in rows if new != merged])
+    yield to_edge_list(result.graph)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cls = _FAMILY_BY_COMMAND[args.family]
     ranges = {name: getattr(args, name) for name in cls.GRID if getattr(args, name) is not None}
     report = verify_family(cls.NAME, ranges, jobs=args.jobs)
-    _emit(args, render_verify(report, args.format))
+    _emit(args, [render_verify(report, args.format)])
     return EXIT_MISMATCH if report.mismatches else EXIT_OK
 
 

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import filterfalse
+from functools import cached_property
+from itertools import count, filterfalse
 
 from .errors import DegenerateOrderError
 from .graph import Graph, _check_node
@@ -14,14 +15,23 @@ class ContractionResult:
     """Outcome of contracting one node.
 
     ``graph`` has order n - deg(v).  ``merged_into`` is the id of the merged
-    node in the new graph, and ``old_to_new`` maps each surviving old id to
-    its new id (the contracted node and its neighbors have no entry); it
-    iterates in ascending old-id order.
+    node in the new graph.  ``new_ids[old]`` is the new id of every old node:
+    survivors have 0, 1, ... in ascending old-id order, and the contracted
+    node and its neighbors have ``merged_into``.  Its ids are the int objects
+    of ``graph``, so the map costs one list slot per old node.  ``old_to_new``
+    maps each surviving old id to its new id, iterating in ascending old-id
+    order; it is built on first read, so a result that is never asked for it
+    holds no dict.
     """
 
     graph: Graph
     merged_into: int
-    old_to_new: dict[int, int]
+    new_ids: list[int]
+
+    @cached_property
+    def old_to_new(self) -> dict[int, int]:
+        merged = self.merged_into
+        return {old: new for old, new in enumerate(self.new_ids) if new != merged}
 
 
 def contract(g: Graph, v: int) -> ContractionResult:
@@ -40,25 +50,24 @@ def contract(g: Graph, v: int) -> ContractionResult:
     adj = g.adj
     removed = set(adj[v])
     removed.add(v)
-    survivors = list(filterfalse(removed.__contains__, range(g.n)))
-    merged = len(survivors)
+    merged = g.n - len(removed)
     # new_of renumbers every old id: survivors in order, all of S to merged.
     # Survivor order is kept and merged is the largest id, so each list is
     # born sorted once its copies of merged are moved to the end as one.
     new_of = [merged] * g.n
-    for new, old in enumerate(survivors):
+    for old, new in zip(filterfalse(removed.__contains__, range(g.n)), count()):
         new_of[old] = new
     renumber = new_of.__getitem__
     rows: list[tuple[int, ...]] = []
     touching: list[int] = []
-    for old in survivors:
+    for old, new in enumerate(new_of):
+        if new == merged:
+            continue
         nbrs = tuple(list(map(renumber, adj[old])))
         if merged in nbrs:
             nbrs = (*[w for w in nbrs if w != merged], merged)
-            touching.append(new_of[old])
+            touching.append(new)
         rows.append(nbrs)
     rows.append(tuple(touching))
     contracted = Graph(merged + 1, tuple(rows))
-    # The new ids are new_of's own int objects, shared with the rows.
-    old_to_new = dict(zip(survivors, map(renumber, survivors)))
-    return ContractionResult(graph=contracted, merged_into=merged, old_to_new=old_to_new)
+    return ContractionResult(graph=contracted, merged_into=merged, new_ids=new_of)

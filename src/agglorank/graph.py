@@ -139,17 +139,20 @@ def _validated(
     if connected and len(pairs) < n - 1:
         raise ConnectivityError(
             f"{len(pairs)} edges cannot connect {n} nodes (ids not dense?): a node is unreachable")
-    return _from_blocks(_edge_blocks(pairs), n, n)
+    return _from_blocks(_edge_blocks(pairs), n, n, simple=True)
 
 
-def _from_blocks(blocks: Iterable[list[int] | None], limit: int, order: int = 0) -> Graph | None:
+def _from_blocks(blocks: Iterable[list[int] | None], limit: int, order: int = 0, *,
+                 connected: bool = False, simple: bool = False) -> Graph | None:
     """Build through a node table from blocks of flat ids u0, v0, u1, v1, ...
 
     ``node[i] is i``, so the graph holds one int object per node.  The order is
     the larger of ``order`` and 1 + the largest id.  None, without naming the
     fault, as soon as a block is None or holds an id outside [0, limit), when
-    a self-loop or a duplicate leaves a repeat in some neighbour list, or when
-    the graph would have no node.
+    the graph would have no node or, with ``connected``, fewer than n - 1
+    edges, or when a self-loop or a duplicate leaves a repeat in some
+    neighbour list.  ``simple`` says the caller has already ruled out every
+    self-loop and duplicate, so the neighbour lists are not searched again.
     """
     node: list[int] = []
     adj: list[list[int]] = []
@@ -171,7 +174,9 @@ def _from_blocks(blocks: Iterable[list[int] | None], limit: int, order: int = 0)
             adj[v].append(u)
         m += len(ids) // 2
     adj += [[] for _ in range(len(adj), order)]
-    if not adj or sum(map(len, map(set, adj))) != 2 * m:
+    if not adj or (connected and m < len(adj) - 1):
+        return None
+    if not simple and sum(map(len, map(set, adj))) != 2 * m:
         return None
     # Sort each list in place and swap in its tuple, one list at a time.
     for v, nbrs in enumerate(adj):
@@ -224,10 +229,7 @@ def _parse_plain(text: str, connected: bool) -> Graph | None:
     text = _newlines_only(text)
     edge_lines = text.count("\n") + 1 - text.count("\n#") - text.startswith("#")
     bound = edge_lines + 1 if connected else 2 * edge_lines
-    g = _from_blocks(_plain_blocks(text), bound)
-    if g is None or (connected and g.edge_count() < g.n - 1):
-        return None
-    return g
+    return _from_blocks(_plain_blocks(text), bound, connected=connected)
 
 
 def _newlines_only(text: str) -> str:

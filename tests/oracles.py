@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -125,3 +126,22 @@ def distance_signature(g: Graph) -> tuple:
     """Canonical degree-and-distance signature; equal for isomorphic graphs,
     and distinguishing in practice for the small structured families here."""
     return tuple(sorted(tuple(sorted(bfs_distances(g, v))) for v in range(g.n)))
+
+
+def random_edge_text(n: int, m: int) -> str:
+    """Seeded connected sparse graph as plain "u v" text, edges shuffled:
+    a random recursive tree (low ids carry the high degrees) plus extra edges."""
+    rng = random.Random("parse-memory")
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return "".join(f"{u} {v}\n" for u, v in rng.sample(sorted(edges), m))
+
+
+def graph_bytes(g: Graph) -> int:
+    """The graph's own memory.  tracemalloc would miss the tuples that CPython
+    takes from its free lists, which the graphs of earlier tests fill."""
+    ints = {id(x): x for nbrs in g.adj for x in nbrs}.values()
+    return sys.getsizeof(g.adj) + sum(map(sys.getsizeof, g.adj)) + sum(map(sys.getsizeof, ints))

@@ -4,17 +4,21 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from agglorank import agglomeration, graph
 from agglorank.cli import _range_arg, main
+from agglorank.contraction import contract
 from agglorank.families import FAMILIES, MAX_SIZE, LollipopSpec, generate, read_labeled, write_labeled
+from agglorank.graph import parse_edge_list, to_edge_list
 from agglorank.reports import decimal6
 from agglorank.verify import grid_specs
 
 from conftest import child_env
+from oracles import graph_bytes, random_edge_text
 
 PATH4 = "0 1\n1 2\n2 3\n"
 K4 = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
@@ -269,6 +273,46 @@ class TestContract:
         assert "# n=1" in out
         assert not [line for line in out.splitlines() if not line.startswith("#")]
 
+    # 10,000 old ids write their "# map" lines in three blocks; contracting a
+    # node of K4 leaves the 1-node graph, written with "# n=1".
+    @pytest.mark.parametrize("text,node", [(random_edge_text(10_000, 20_000), 0), (K4, 2)],
+                             ids=["three-map-blocks", "one-node"])
+    def test_stdout_and_output_file_are_merged_then_map_then_edges(self, capsys, tmp_path,
+                                                                    text, node):
+        result = contract(parse_edge_list(text), node)
+        expected = (f"# merged {result.merged_into}\n"
+                    + "".join(f"# map {old} {new}\n" for old, new in result.old_to_new.items())
+                    + to_edge_list(result.graph))
+        source = write(tmp_path, "in.edges", text)
+        target = tmp_path / "out.edges"
+        assert run(capsys, "contract", source, "--node", str(node)) == (0, expected, "")
+        assert run(capsys, "contract", source, "--node", str(node), "--output", str(target)) \
+            == (0, "", "")
+        assert target.read_bytes() == expected.encode()
+
+    def test_peak_memory_stays_near_two_graphs(self, tmp_path):
+        # contract holds the input graph and the contracted one, and writes
+        # its text in blocks: no id map, no whole-output string, no encoded copy.
+        text = random_edge_text(20_000, 40_000)
+        g = parse_edge_list(text, connected=True)
+        size = graph_bytes(g)
+        hub = max(range(g.n), key=lambda v: len(g.adj[v]))
+        source = write(tmp_path, "sparse.edges", text)
+        del g, text
+        # Empty CPython's tuple free lists (20 sizes, 2,000 each), so that every
+        # tuple made below is traced, whatever ran before.
+        held = [tuple(range(1000, 1000 + k)) for k in range(1, 21) for _ in range(2000)]
+        tracemalloc.start()
+        try:
+            code = main(["contract", source, "--node", str(hub),
+                         "--output", str(tmp_path / "out.edges")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del held
+        assert code == 0
+        assert peak < 2.5 * size, f"contract peak {peak} B for an input graph of {size} B"
+
     def test_bad_node_exit_2(self, capsys, tmp_path):
         source = write(tmp_path, "p4.edges", PATH4)
         code, _, err = run(capsys, "contract", source, "--node", "9")
@@ -308,10 +352,10 @@ class TestConnectivityPrecondition:
                                                            monkeypatch, command):
         build = graph._from_blocks
 
-        def bounded_build(blocks, limit, order=0):
+        def bounded_build(blocks, limit, order=0, **flags):
             if order > 10**6:
                 raise AssertionError(f"allocated the adjacency of {order} nodes")
-            return build(blocks, limit, order)
+            return build(blocks, limit, order, **flags)
 
         monkeypatch.setattr(graph, "_from_blocks", bounded_build)
         source = write(tmp_path, "huge.edges", "# n=1000000000000\n")

@@ -101,8 +101,21 @@ def test_old_to_new_iterates_in_ascending_old_id_order():
     for _ in range(100):
         g = random_connected_graph(rng, rng.randint(2, 12))
         for v in range(g.n):
-            old_ids = list(contract(g, v).old_to_new)
+            result = contract(g, v)
+            old_ids = list(result.old_to_new)
             assert old_ids == sorted(old_ids)
+            assert list(result.old_to_new.values()) == list(range(result.merged_into))
+            assert [result.old_to_new.get(old, result.merged_into) for old in range(g.n)] \
+                == result.new_ids
+
+
+def test_old_to_new_is_built_on_first_read_and_leaves_equality_alone():
+    g = from_edge_list([(0, 2), (1, 2), (2, 3), (3, 4), (4, 5)])
+    result, again = contract(g, 2), contract(g, 2)
+    assert "old_to_new" not in vars(result)  # a ranking never reads it
+    assert result.old_to_new is result.old_to_new == {4: 0, 5: 1}
+    assert result == again and "old_to_new" not in vars(again)
+    assert result != contract(g, 0)
 
 
 def relabeled(rng, g):

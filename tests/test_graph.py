@@ -25,9 +25,11 @@ from agglorank.graph import (
 )
 
 from oracles import (
+    graph_bytes,
     minplus_distance_matrix,
     oracle_distance_sum,
     random_connected_graph,
+    random_edge_text,
     with_pendant_trees,
 )
 
@@ -440,11 +442,11 @@ class _Unbuilt(Exception):
     pass
 
 
-def _bounded_build(blocks, limit, order=0):
+def _bounded_build(blocks, limit, order=0, **flags):
     # Random digits can name an order far too large to allocate.
     if order > 10_000:
         raise _Unbuilt(order)
-    return _REAL_BUILD(blocks, limit, order)
+    return _REAL_BUILD(blocks, limit, order, **flags)
 
 
 def _outcome(parse, text, connected):
@@ -648,7 +650,7 @@ def _shared_ints(g):
 
 
 def test_the_line_path_keeps_one_int_per_node():
-    text = _random_edge_text(2000, 4000).replace(" ", "\t")
+    text = random_edge_text(2000, 4000).replace(" ", "\t")
     assert graph._parse_plain(text, True) is None
     g = parse_edge_list(text, connected=True)
     assert (g.n, g.edge_count()) == (2000, 4000)
@@ -660,32 +662,15 @@ def test_line_breaks_are_those_of_splitlines():
     assert sorted(graph._LINE_BREAKS) == sorted(breaks - {"\n"})
 
 
-def _random_edge_text(n, m):
-    rng = random.Random("parse-memory")
-    edges = {(rng.randrange(v), v) for v in range(1, n)}
-    while len(edges) < m:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-    return "".join(f"{u} {v}\n" for u, v in rng.sample(sorted(edges), m))
-
-
 def test_plain_parse_memory_stays_near_the_graph():
     n, m = 20_000, 40_000
-    assert_parse_peak_near_the_graph(_random_edge_text(n, m), n, m)
+    assert_parse_peak_near_the_graph(random_edge_text(n, m), n, m)
 
 
 def test_labeled_parse_memory_stays_near_the_graph():
     n, m = 20_000, 40_000
     head = "# family none\n" + "".join(f"# class {v} role_{v % 7}\n" for v in range(n))
-    assert_parse_peak_near_the_graph(head + _random_edge_text(n, m), n, m)
-
-
-def _graph_bytes(g):
-    # The graph's own memory.  tracemalloc would miss the tuples that CPython
-    # takes from its free lists, which the graphs of earlier tests fill.
-    ints = {id(x): x for nbrs in g.adj for x in nbrs}.values()
-    return sys.getsizeof(g.adj) + sum(map(sys.getsizeof, g.adj)) + sum(map(sys.getsizeof, ints))
+    assert_parse_peak_near_the_graph(head + random_edge_text(n, m), n, m)
 
 
 def assert_parse_peak_near_the_graph(text, n, m):
@@ -695,7 +680,7 @@ def assert_parse_peak_near_the_graph(text, n, m):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    size = _graph_bytes(g)
+    size = graph_bytes(g)
     assert (g.n, g.edge_count()) == (n, m)
     assert peak < 2 * size, f"parse peak {peak} B for a graph of {size} B"
     assert _shared_ints(g) == n
