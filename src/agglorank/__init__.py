@@ -7,50 +7,37 @@ the generic engine is cross-validated against analytic closed forms for
 paths, comets, double comets and lollipop networks.
 """
 
-from . import closed_forms
-from .agglomeration import (
-    ImcEntry,
-    RankReport,
-    Rational,
-    average_path_length,
-    imc,
-    imc_all,
-    phi,
-)
-from .contraction import ContractionResult, contract
-from .errors import (
-    AggloRankError,
-    ConnectivityError,
-    DegenerateOrderError,
-    EdgeListError,
-    FamilyParameterError,
-    FormulaDomainError,
-)
-from .families import (
-    CometSpec,
-    DoubleCometSpec,
-    FamilySpec,
-    LabeledGraph,
-    LollipopSpec,
-    NodeClass,
-    PathSpec,
-    class_of,
-    generate,
-    read_labeled,
-    scan_class_comments,
-    write_labeled,
-)
-from .graph import (
-    Graph,
-    bfs_distances,
-    degree,
-    distance_sum,
-    from_edge_list,
-    is_connected,
-    parse_edge_list,
-    to_edge_list,
-)
-from .verify import DEFAULT_GRIDS, VerifyReport, VerifyRow, verify_family
+from importlib import import_module
+
+# Each public name and the module that defines it.  A name is imported on
+# first use (PEP 562), so a command loads only the modules it runs.
+_MODULE_OF = {
+    **dict.fromkeys(["ImcEntry", "RankReport", "Rational", "average_path_length", "imc",
+                     "imc_all", "phi"], "agglomeration"),
+    **dict.fromkeys(["ContractionResult", "contract"], "contraction"),
+    **dict.fromkeys(["AggloRankError", "ConnectivityError", "DegenerateOrderError",
+                     "EdgeListError", "FamilyParameterError", "FormulaDomainError"], "errors"),
+    **dict.fromkeys(["CometSpec", "DoubleCometSpec", "FamilySpec", "LabeledGraph",
+                     "LollipopSpec", "NodeClass", "PathSpec", "class_of", "generate",
+                     "read_labeled", "scan_class_comments", "write_labeled"], "families"),
+    **dict.fromkeys(["Graph", "bfs_distances", "degree", "distance_sum", "from_edge_list",
+                     "is_connected", "parse_edge_list", "to_edge_list"], "graph"),
+    **dict.fromkeys(["DEFAULT_GRIDS", "VerifyReport", "VerifyRow", "verify_family"], "verify"),
+    "closed_forms": "closed_forms",
+}
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = import_module(f".{module}", __name__)
+    return value if name == module else getattr(value, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF})
+
 
 __version__ = "0.1.0"
 

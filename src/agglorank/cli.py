@@ -10,21 +10,24 @@ Exit codes: 0 success, 2 usage or parse error, 3 connectivity error,
 
 from __future__ import annotations
 
+# The package's own modules come first: without cached bytecode each one is
+# compiled at start-up, and compiling them before argparse and the rest are
+# resident keeps the start's peak memory down.
+from .agglomeration import imc_all, phi_and_length, usable_cpus
+from .contraction import contract, contract_text
+from .errors import AggloRankError, ConnectivityError, EdgeListError, FamilyParameterError
+from .families import (FAMILIES, MAX_SIZE, check_class_nodes, generate, scan_class_comments,
+                       write_labeled)
+from .graph import _WRITE_NODES, Graph, _edge_lines, bfs_distances, parse_edge_list
+from .reports import FORMATS, render_phi, render_rank, render_verify
+
 import argparse
 import re
 import sys
 from dataclasses import fields
+from itertools import count, islice
 from pathlib import Path
 from typing import Iterable, Iterator
-
-from .agglomeration import imc_all, phi_and_length, usable_cpus
-from .contraction import ContractionResult, contract
-from .errors import AggloRankError, ConnectivityError, EdgeListError, FamilyParameterError
-from .families import (FAMILIES, MAX_SIZE, check_class_nodes, generate, scan_class_comments,
-                       write_labeled)
-from .graph import _WRITE_NODES, bfs_distances, parse_edge_list, to_edge_list
-from .reports import FORMATS, render_phi, render_rank, render_verify
-from .verify import verify_family
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -56,11 +59,15 @@ def _emit(args: argparse.Namespace, blocks: Iterable[str]) -> None:
     sys.stdout.writelines(blocks)
 
 
-def _read_graph(args: argparse.Namespace):
+def _read_text(args: argparse.Namespace) -> str:
     try:
-        text = Path(args.input).read_text(encoding="utf-8")
+        return Path(args.input).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise EdgeListError(f"{args.input}: not UTF-8 text ({exc})") from None
+
+
+def _read_graph(args: argparse.Namespace):
+    text = _read_text(args)
     return text, parse_edge_list(text, connected=True)
 
 
@@ -92,30 +99,41 @@ def cmd_phi(args: argparse.Namespace) -> int:
 
 
 def cmd_contract(args: argparse.Namespace) -> int:
-    g = _read_graph(args)[1]
-    if not 0 <= args.node < g.n:
-        print(f"error: node {args.node} out of range for graph of order {g.n}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if g.n >= 2:
-        bfs_distances(g, 0)  # connectivity precondition, names an unreachable node
-    result = contract(g, args.node)
-    del g  # the input graph is not needed to write the result
-    _emit(args, _contraction_blocks(result))
+    text = _read_text(args)
+    # Plain, connected text contracts without building its graph; any other
+    # text, and any fault, takes the parser of record.
+    contracted = contract_text(text, args.node)
+    g = None if contracted else parse_edge_list(text, connected=True)
+    del text  # neither path needs the text to write its result
+    if g is not None:
+        if not 0 <= args.node < g.n:
+            print(f"error: node {args.node} out of range for graph of order {g.n}",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        if g.n >= 2:
+            bfs_distances(g, 0)  # connectivity precondition, names an unreachable node
+        result = contract(g, args.node)
+        del g  # the input graph is not needed to write the result
+        merged = result.merged_into
+        contracted = result.graph, merged, (old for old, new in enumerate(result.new_ids)
+                                            if new != merged)
+    _emit(args, _contraction_blocks(*contracted))
     return EXIT_OK
 
 
-def _contraction_blocks(result: ContractionResult) -> Iterator[str]:
-    # "# merged", the "# map" lines of _WRITE_NODES old ids at a time, then the edges.
-    yield f"# merged {result.merged_into}\n"
-    new_ids, merged = result.new_ids, result.merged_into
-    for lo in range(0, len(new_ids), _WRITE_NODES):
-        rows = enumerate(new_ids[lo:lo + _WRITE_NODES], lo)
-        yield "".join([f"# map {old} {new}\n" for old, new in rows if new != merged])
-    yield to_edge_list(result.graph)
+def _contraction_blocks(g: Graph, merged: int, survivors: Iterable[int]) -> Iterator[str]:
+    # "# merged", then the "# map" lines and the edges of g, _WRITE_NODES nodes at
+    # a time.  Survivors come in ascending old-id order, numbered 0, 1, ...
+    yield f"# merged {merged}\n"
+    rows = zip(survivors, count())
+    while block := "".join([f"# map {old} {new}\n" for old, new in islice(rows, _WRITE_NODES)]):
+        yield block
+    yield from _edge_lines(g)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import verify_family  # only verify needs the closed forms
+
     cls = _FAMILY_BY_COMMAND[args.family]
     ranges = {name: getattr(args, name) for name in cls.GRID if getattr(args, name) is not None}
     report = verify_family(cls.NAME, ranges, jobs=args.jobs)

@@ -16,7 +16,10 @@ every line break of ``str.splitlines()`` as "\n" (``_newlines_only``).
 Anything else, plain text with a fault, or such an id goes line by line
 through ``_validated``, which gives the same graph and is the only code that
 raises.  ``from_edge_list`` builds the same way and names a fault from
-``_validated``.
+``_validated``.  ``contraction.contract_text`` renumbers the same plain blocks
+on their way to ``_from_blocks``, to build a contracted graph without its
+input graph.  ``to_edge_list`` joins the blocks of ``_edge_lines``, which the
+``contract`` command writes one at a time.
 """
 
 from __future__ import annotations
@@ -223,13 +226,18 @@ def parse_edge_list(text: str, *, connected: bool = False) -> Graph:
 def _parse_plain(text: str, connected: bool) -> Graph | None:
     # The graph of plain text, one block of lines at a time; None whenever
     # the text is not plain or holds a fault, so that the line path names it.
-    # An id at or above the bound would leave a node in no edge (or, under
+    text, bound = _plain_text(text, connected)
+    return _from_blocks(_plain_blocks(text), bound, connected=connected)
+
+
+def _plain_text(text: str, connected: bool) -> tuple[str, int]:
+    # The text with "\n" line breaks, and the bound that plain text's ids stay
+    # below.  An id at or above it would leave a node in no edge (or, under
     # connected, too few edges), so the table of ids never outgrows the edge
     # lines.  In plain text every comment line starts the text or follows "\n".
     text = _newlines_only(text)
     edge_lines = text.count("\n") + 1 - text.count("\n#") - text.startswith("#")
-    bound = edge_lines + 1 if connected else 2 * edge_lines
-    return _from_blocks(_plain_blocks(text), bound, connected=connected)
+    return text, edge_lines + 1 if connected else 2 * edge_lines
 
 
 def _newlines_only(text: str) -> str:
@@ -306,12 +314,17 @@ def to_edge_list(g: Graph) -> str:
     order, that is when the last node has no neighbor (isolated trailing
     nodes, or an edgeless single-node graph).
     """
+    return "".join(_edge_lines(g))
+
+
+def _edge_lines(g: Graph) -> Iterator[str]:
+    # to_edge_list's text, the lines of _WRITE_NODES nodes at a time.
     adj = g.adj
-    blocks = [f"# n={g.n}\n"] if adj and not adj[-1] else []
+    if adj and not adj[-1]:
+        yield f"# n={g.n}\n"
     for lo in range(0, g.n, _WRITE_NODES):
         rows = enumerate(adj[lo:lo + _WRITE_NODES], lo)
-        blocks.append("".join([f"{u} {v}\n" for u, nbrs in rows for v in nbrs if v > u]))
-    return "".join(blocks)
+        yield "".join([f"{u} {v}\n" for u, nbrs in rows for v in nbrs if v > u])
 
 
 def degree(g: Graph, v: int) -> int:

@@ -14,13 +14,13 @@ into a ``# `` comment.  ``phi``'s table is ``key value`` lines, with no grid.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .agglomeration import RankReport
-from .verify import VerifyReport
+
+if TYPE_CHECKING:
+    from .verify import VerifyReport
 
 FORMATS = ("table", "csv", "json")
 
@@ -51,8 +51,13 @@ def _render(fmt: str, doc: dict, header: list[str], rows: list[list[str]],
             head: list[str] = (), tail: list[str] = ()) -> str:
     """The one place that picks a format; see the module docstring for the rule."""
     if fmt == "json":
+        import json
+
         return json.dumps(doc, indent=2) + "\n"
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)

@@ -145,3 +145,10 @@ def graph_bytes(g: Graph) -> int:
     takes from its free lists, which the graphs of earlier tests fill."""
     ints = {id(x): x for nbrs in g.adj for x in nbrs}.values()
     return sys.getsizeof(g.adj) + sum(map(sys.getsizeof, g.adj)) + sum(map(sys.getsizeof, ints))
+
+
+def drain_tuple_free_lists() -> list[tuple]:
+    """Take 2,000 tuples of each size 1-20 from CPython's free lists, and return
+    them: while the caller holds them, tracemalloc traces every tuple made,
+    whatever ran before."""
+    return [tuple(range(1000, 1000 + k)) for k in range(1, 21) for _ in range(2000)]

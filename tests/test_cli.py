@@ -1,24 +1,33 @@
 """CLI behavior: subcommands, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import random
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from agglorank import agglomeration, graph
+from agglorank import agglomeration, cli, graph
 from agglorank.cli import _range_arg, main
-from agglorank.contraction import contract
+from agglorank.contraction import contract, contract_text
 from agglorank.families import FAMILIES, MAX_SIZE, LollipopSpec, generate, read_labeled, write_labeled
 from agglorank.graph import parse_edge_list, to_edge_list
 from agglorank.reports import decimal6
 from agglorank.verify import grid_specs
 
 from conftest import child_env
-from oracles import graph_bytes, random_edge_text
+from oracles import (drain_tuple_free_lists, graph_bytes, random_connected_graph,
+                     random_edge_text)
 
 PATH4 = "0 1\n1 2\n2 3\n"
 K4 = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
@@ -239,6 +248,43 @@ class TestPhi:
         assert json.loads(out) == {"phi": "1/4", "avg_path_length": "1"}
 
 
+def contract_both_ways(text, node):
+    """``contract``'s (exit code, stdout, stderr, --output bytes) on text, first
+    as the command runs, then with ``contract_text`` declining, so that the
+    text goes parse_edge_list, bfs_distances, contract as it did before."""
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        source, target = Path(tmp, "in.edges"), Path(tmp, "out.edges")
+        source.write_bytes(text.encode())
+        argv = ["contract", str(source), "--node", str(node)]
+        for declined in (False, True):
+            with mock.patch.object(cli, "contract_text", lambda text, v: None) if declined \
+                    else contextlib.nullcontext():
+                target.unlink(missing_ok=True)
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                    assert main([*argv, "--output", str(target)]) == code
+                written = target.read_bytes() if target.exists() else None
+            outcomes.append((code, out.getvalue(), err.getvalue(), written))
+    return outcomes
+
+
+def assert_contract_as_before(text, node, new_path):
+    """The new path (when ``new_path``) and the old give the same bytes, the
+    same errors and the same exit codes; a success prints ``contract``'s result."""
+    new, old = contract_both_ways(text, node)
+    assert new == old
+    assert (contract_text(text, node) is not None) == new_path
+    code, out, err, written = new
+    if code == 0:
+        result = contract(parse_edge_list(text), node)
+        expected = (f"# merged {result.merged_into}\n"
+                    + "".join(f"# map {old} {new}\n" for old, new in result.old_to_new.items())
+                    + to_edge_list(result.graph))
+        assert (out, err, written) == (expected, "", expected.encode())
+
+
 class TestContract:
     def test_path_end(self, capsys, tmp_path):
         source = write(tmp_path, "p4.edges", PATH4)
@@ -290,18 +336,17 @@ class TestContract:
             == (0, "", "")
         assert target.read_bytes() == expected.encode()
 
-    def test_peak_memory_stays_near_two_graphs(self, tmp_path):
-        # contract holds the input graph and the contracted one, and writes
-        # its text in blocks: no id map, no whole-output string, no encoded copy.
+    def test_peak_memory_stays_near_one_graph(self, tmp_path):
+        # contract builds only the contracted graph, from the text's id blocks,
+        # and writes its text in blocks: no input graph, no id map, no
+        # whole-output string, no encoded copy.  The bound is the parse's own.
         text = random_edge_text(20_000, 40_000)
         g = parse_edge_list(text, connected=True)
         size = graph_bytes(g)
         hub = max(range(g.n), key=lambda v: len(g.adj[v]))
         source = write(tmp_path, "sparse.edges", text)
         del g, text
-        # Empty CPython's tuple free lists (20 sizes, 2,000 each), so that every
-        # tuple made below is traced, whatever ran before.
-        held = [tuple(range(1000, 1000 + k)) for k in range(1, 21) for _ in range(2000)]
+        held = drain_tuple_free_lists()
         tracemalloc.start()
         try:
             code = main(["contract", source, "--node", str(hub),
@@ -311,7 +356,7 @@ class TestContract:
             tracemalloc.stop()
         del held
         assert code == 0
-        assert peak < 2.5 * size, f"contract peak {peak} B for an input graph of {size} B"
+        assert peak < 2 * size, f"contract peak {peak} B for an input graph of {size} B"
 
     def test_bad_node_exit_2(self, capsys, tmp_path):
         source = write(tmp_path, "p4.edges", PATH4)
@@ -323,6 +368,56 @@ class TestContract:
         source = write(tmp_path, "dis.edges", DISCONNECTED)
         code, _, _ = run(capsys, "contract", source, "--node", "0")
         assert code == 3
+
+    # contract of plain, connected text builds G/v without G; every other
+    # input goes the old way, and both ways agree to the byte.
+    @given(st.integers(2, 14), st.integers(0, 2**32 - 1),
+           st.sampled_from(["hub", "leaf", "zero", "everything"]))
+    @settings(max_examples=150, deadline=None)
+    def test_new_path_agrees_on_connected_graphs(self, n, seed, pick):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, n)
+        edges = list(g.edges())
+        if pick == "everything":  # N[v] is all of V, so the result is "# n=1"
+            node = rng.randrange(n)
+            edges = sorted({(min(node, w), max(node, w)) for w in range(n) if w != node}
+                           | set(edges))
+        elif pick == "zero":
+            node = 0
+        else:
+            degrees = [len(nbrs) for nbrs in g.adj]
+            node = degrees.index((max if pick == "hub" else min)(degrees))
+        rng.shuffle(edges)
+        text = "".join(f"{u} {w}\n" if rng.random() < 0.5 else f"{w} {u}\n" for u, w in edges)
+        assert_contract_as_before(text, node, new_path=True)
+
+    @pytest.mark.parametrize("text,node,new_path", [
+        ("0 1\n", 0, True),                                 # P2: one node
+        ("0 1\n", 1, True),
+        (K4, 2, True),
+        ("# class 0 x\n00 01\n# 1 7\n01 2\n2 3", 1, True),  # comments, zeros, no last break
+        ("0 1\r\n1 2\r\n2 3\r\n", 1, True),                 # CRLF reads in bulk
+        ("0 1\n1 1\n1 2\n", 0, False),                      # self-loop inside S
+        ("0 1\n1 2\n2 1\n", 0, False),                      # duplicate survivor-S edge
+        ("0 1\n1 0\n1 2\n", 0, False),                      # duplicate inside S
+        ("0 1\n1 2\n2 3\n3 3\n", 0, False),                 # self-loop between survivors
+        ("0 1\n1 2\n2 3\n3 2\n", 0, False),                 # duplicate between survivors
+        (TWO_TRIANGLES, 4, False),                          # S unreachable, and it holds node 3
+        (TWO_TRIANGLES, 0, False),                          # S reachable, node 3 is not
+        ("0 1\n1 2\n3 4\n4 5\n5 3\n", 0, False),            # S and a survivor, then a triangle
+        ("0 1\n1 2\n2 0\n3 4\n", 4, False),                 # too few edges for the order
+        ("0 1\n1 3\n", 2, False),                           # v is in no edge
+        (PATH4, 4, False),                                  # --node at n
+        (PATH4, 9, False),                                  # --node above n
+        (PATH4, -1, False),
+        ("0\t1\n1\t2\n", 1, False),                         # tab-separated
+        ("# n=3\n0 1\n1 2\n", 0, False),                    # order header
+        ("# n=4\n0 1\n1 2\n", 0, False),
+        ("0 1\n1 2x\n", 1, False),                          # a line that is no edge
+        ("1 2\n2 3\n", 2, False),                           # node 0 is in no edge
+    ])
+    def test_new_path_agrees_with_the_old(self, text, node, new_path):
+        assert_contract_as_before(text, node, new_path)
 
 
 class TestConnectivityPrecondition:
@@ -496,6 +591,33 @@ class TestVerify:
     @pytest.mark.parametrize("text,bounds", [("4..6", (4, 6)), ("5", (5, 5)), ("07..010", (7, 10))])
     def test_a_range_reads_n_or_lo_hi(self, text, bounds):
         assert _range_arg(text) == bounds
+
+
+class TestStartup:
+    """A command imports only the modules it runs; the package loads each
+    public name on first use."""
+
+    def test_rank_loads_neither_verify_nor_the_closed_forms(self, tmp_path):
+        source = write(tmp_path, "p2.edges", "0 1\n")
+        probe = ("import sys\nfrom agglorank.cli import main\n"
+                 f"assert main(['rank', {source!r}, '--jobs', '1']) == 0\n"
+                 "print(' '.join(sorted(m for m in sys.modules if m.startswith('agglorank'))))")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=child_env(), check=True)
+        loaded = done.stdout.splitlines()[-1].split()
+        assert "agglorank.cli" in loaded
+        assert "agglorank.verify" not in loaded and "agglorank.closed_forms" not in loaded
+
+    def test_every_public_name_resolves_and_is_listed(self):
+        import agglorank
+
+        listed = dir(agglorank)
+        for name in agglorank.__all__:
+            assert getattr(agglorank, name) is not None and name in listed
+        assert agglorank.closed_forms is sys.modules["agglorank.closed_forms"]
+        assert agglorank.contract is contract
+        with pytest.raises(AttributeError):
+            agglorank.no_such_name
 
 
 class TestDecimalDisplay:

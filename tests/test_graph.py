@@ -25,6 +25,7 @@ from agglorank.graph import (
 )
 
 from oracles import (
+    drain_tuple_free_lists,
     graph_bytes,
     minplus_distance_matrix,
     oracle_distance_sum,
@@ -674,12 +675,14 @@ def test_labeled_parse_memory_stays_near_the_graph():
 
 
 def assert_parse_peak_near_the_graph(text, n, m):
+    held = drain_tuple_free_lists()
     tracemalloc.start()
     try:
         g = parse_edge_list(text, connected=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    del held
     size = graph_bytes(g)
     assert (g.n, g.edge_count()) == (n, m)
     assert peak < 2 * size, f"parse peak {peak} B for a graph of {size} B"
