@@ -41,45 +41,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AggloRankError",
-    "CometSpec",
-    "ConnectivityError",
-    "ContractionResult",
-    "DEFAULT_GRIDS",
-    "DegenerateOrderError",
-    "DoubleCometSpec",
-    "EdgeListError",
-    "FamilyParameterError",
-    "FamilySpec",
-    "FormulaDomainError",
-    "Graph",
-    "ImcEntry",
-    "LabeledGraph",
-    "LollipopSpec",
-    "NodeClass",
-    "PathSpec",
-    "RankReport",
-    "Rational",
-    "VerifyReport",
-    "VerifyRow",
-    "average_path_length",
-    "bfs_distances",
-    "class_of",
-    "closed_forms",
-    "contract",
-    "degree",
-    "distance_sum",
-    "from_edge_list",
-    "generate",
-    "imc",
-    "imc_all",
-    "is_connected",
-    "parse_edge_list",
-    "phi",
-    "read_labeled",
-    "scan_class_comments",
-    "to_edge_list",
-    "verify_family",
-    "write_labeled",
-]
+__all__ = sorted(_MODULE_OF)

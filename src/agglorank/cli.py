@@ -107,24 +107,22 @@ def cmd_contract(args: argparse.Namespace) -> int:
     del text  # neither path needs the text to write its result
     if g is not None:
         if not 0 <= args.node < g.n:
-            print(f"error: node {args.node} out of range for graph of order {g.n}",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise AggloRankError(f"node {args.node} out of range for graph of order {g.n}")
         if g.n >= 2:
             bfs_distances(g, 0)  # connectivity precondition, names an unreachable node
         result = contract(g, args.node)
         del g  # the input graph is not needed to write the result
         merged = result.merged_into
-        contracted = result.graph, merged, (old for old, new in enumerate(result.new_ids)
-                                            if new != merged)
+        contracted = result.graph, (old for old, new in enumerate(result.new_ids) if new != merged)
     _emit(args, _contraction_blocks(*contracted))
     return EXIT_OK
 
 
-def _contraction_blocks(g: Graph, merged: int, survivors: Iterable[int]) -> Iterator[str]:
-    # "# merged", then the "# map" lines and the edges of g, _WRITE_NODES nodes at
-    # a time.  Survivors come in ascending old-id order, numbered 0, 1, ...
-    yield f"# merged {merged}\n"
+def _contraction_blocks(g: Graph, survivors: Iterable[int]) -> Iterator[str]:
+    # "# merged" with g's last id, the merged node, then the "# map" lines and
+    # the edges of g, _WRITE_NODES nodes at a time.  Survivors come in ascending
+    # old-id order, numbered 0, 1, ...
+    yield f"# merged {g.n - 1}\n"
     rows = zip(survivors, count())
     while block := "".join([f"# map {old} {new}\n" for old, new in islice(rows, _WRITE_NODES)]):
         yield block
@@ -207,10 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise AggloRankError("--jobs must be at least 1")
         return args.func(args)
     except (AggloRankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,7 @@
 ``contract`` contracts a built graph.  ``contract_text`` builds the contracted
 graph of plain edge-list text without building the input graph: its id blocks
 are renumbered on their way to ``graph._from_blocks``, so the one builder makes
-only G/v.
+only G/v.  Either way the merged node is G/v's last id, n(G/v) - 1.
 """
 
 from __future__ import annotations
@@ -83,11 +83,12 @@ def contract(g: Graph, v: int) -> ContractionResult:
     return ContractionResult(graph=contracted, merged_into=merged, new_ids=new_of)
 
 
-def contract_text(text: str, v: int) -> tuple[Graph, int, Iterator[int]] | None:
+def contract_text(text: str, v: int) -> tuple[Graph, Iterator[int]] | None:
     """Contract v in plain, connected edge-list text without building its graph.
 
-    Returns G/v, its merged id and the surviving old ids in ascending order,
-    whose new ids are 0, 1, ...: what ``contract`` of the parsed text gives.
+    Returns G/v, whose last id is the merged node, and the surviving old ids in
+    ascending order, whose new ids are 0, 1, ...: what ``contract`` of the
+    parsed text gives.
     None when the text is not plain (see ``graph``) or holds a fault, when no
     edge holds v (v isolated or out of the order), or when G is disconnected,
     so that the parser of record decides.  N(v) comes from one search for the
@@ -137,4 +138,4 @@ def contract_text(text: str, v: int) -> tuple[Graph, int, Iterator[int]] | None:
     # g lacks the merged node when S is in no edge with a survivor.
     if g is None or g.n != top + 2 - len(removed) or not is_connected(g):
         return None
-    return g, g.n - 1, filterfalse(removed.__contains__, range(top + 1))
+    return g, filterfalse(removed.__contains__, range(top + 1))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain, compress, count
 from operator import itemgetter, mul, or_, xor
@@ -54,6 +55,7 @@ _BLOCK_EDGES = 1 << 12
 _WRITE_NODES = 4096
 
 
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Immutable simple undirected graph on node ids 0..n-1.
 
@@ -63,11 +65,8 @@ class Graph:
     freely between threads.
     """
 
-    __slots__ = ("n", "adj")
-
-    def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]):
-        self.n = n
-        self.adj = adj
+    n: int
+    adj: tuple[tuple[int, ...], ...]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in canonical order."""
@@ -78,14 +77,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.adj) // 2
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self.adj == other.adj
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={list(self.edges())!r})"

@@ -6,7 +6,15 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+
+
+def pytest_collection_modifyitems(items):
+    # A warning in a test under tests/ is an error.
+    for item in items:
+        if Path(item.path).resolve().is_relative_to(TESTS):
+            item.add_marker(pytest.mark.filterwarnings("error"))
 
 
 def child_env(**overrides: str) -> dict[str, str]:

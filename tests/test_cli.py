@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from agglorank import agglomeration, cli, graph
 from agglorank.cli import _range_arg, main
 from agglorank.contraction import contract, contract_text
-from agglorank.families import FAMILIES, MAX_SIZE, LollipopSpec, generate, read_labeled, write_labeled
+from agglorank.families import (FAMILIES, MAX_SIZE, LollipopSpec, NodeClass, PathSpec, generate,
+                                 read_labeled, write_labeled)
 from agglorank.graph import parse_edge_list, to_edge_list
 from agglorank.reports import decimal6
 from agglorank.verify import grid_specs
@@ -188,6 +189,11 @@ class TestRank:
         code, _, err = run(capsys, "rank", source)
         assert code == 2
 
+    def test_declared_order_zero_exit_2_with_line(self, capsys, tmp_path):
+        source = write(tmp_path, "zero.edges", "# n=0\n0 1\n")
+        assert run(capsys, "rank", source) == (
+            2, "", "error: line 1: declared order must be at least 1\n")
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "rank", str(tmp_path / "nope.edges"))
         assert code == 2
@@ -221,6 +227,7 @@ class TestRank:
         source = write(tmp_path, "p4.edges", PATH4)
         code, _, err = run(capsys, "rank", source, "--jobs", "0")
         assert code == 2
+        assert err == "error: --jobs must be at least 1\n"
 
 
 class TestPhi:
@@ -362,7 +369,17 @@ class TestContract:
         source = write(tmp_path, "p4.edges", PATH4)
         code, _, err = run(capsys, "contract", source, "--node", "9")
         assert code == 2
-        assert "out of range" in err
+        assert err == "error: node 9 out of range for graph of order 4\n"
+
+    def test_an_id_too_long_for_int_exit_2_with_line(self, capsys, tmp_path):
+        # int() refuses a 5,000-digit id, so the line that holds v cannot be
+        # read without the line path, which names it.
+        text = f"0 1\n1 {'9' * 5000}\n"
+        assert contract_text(text, 1) is None
+        source = write(tmp_path, "long.edges", text)
+        code, out, err = run(capsys, "contract", source, "--node", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 2: non-integer node id in '1 999")
 
     def test_disconnected_exit_3(self, capsys, tmp_path):
         source = write(tmp_path, "dis.edges", DISCONNECTED)
@@ -573,6 +590,18 @@ class TestVerify:
         assert err.startswith("error: the ")
         assert f"nodes plus edges; verify builds at most {MAX_SIZE}" in err
         assert "Traceback" not in err
+
+    def test_ordering_violation_exit_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(PathSpec, "expected_order",
+                            lambda self: [(NodeClass.PATH_END, ">", NodeClass.PATH_INNER)])
+        code, out, err = run(capsys, "verify", "path", "--n", "4..4")
+        assert (code, err) == (4, "")
+        assert "violation: P(4): expected imc(path_end) > imc(path_inner)\n" in out
+        assert out.endswith("summary total=3 mismatches=1\n")
+
+    def test_bad_jobs(self, capsys):
+        assert run(capsys, "verify", "path", "--jobs", "0") == (
+            2, "", "error: --jobs must be at least 1\n")
 
     def test_bad_range_syntax(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -5,6 +5,7 @@ the node, take agglomerations of both graphs, form 1 - phi/phi') before being
 frozen here.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -46,7 +47,7 @@ class TestPath:
             imc_path(3, NC.PATH_END)
 
     def test_imc_rejects_foreign_class(self):
-        with pytest.raises(FormulaDomainError):
+        with pytest.raises(FormulaDomainError, match="^comet_center is not a path node class$"):
             imc_path(6, NC.COMET_CENTER)
 
 
@@ -164,3 +165,30 @@ class TestLollipop:
     def test_imc_domain(self, n, d):
         with pytest.raises(FormulaDomainError, match="d > 3 and n - d > 1"):
             imc_lollipop(n, d, NC.LP_JUNCTION)
+
+
+@pytest.mark.parametrize("form,args,message", [
+    (phi_comet, (0, 3), "phi_comet requires s >= 1 and t >= 1, got s=0 t=3"),
+    (phi_comet, (3, 0), "phi_comet requires s >= 1 and t >= 1, got s=3 t=0"),
+    (phi_double_comet, (5, 0, 2),
+     "phi_double_comet requires a, b >= 1 and n - a - b >= 2, got n=5 a=0 b=2"),
+    (phi_double_comet, (5, 2, 2),
+     "phi_double_comet requires a, b >= 1 and n - a - b >= 2, got n=5 a=2 b=2"),
+    (phi_lollipop, (5, 1), "phi_lollipop requires d >= 2 and n - d >= 1, got n=5 d=1"),
+    (phi_lollipop, (4, 4), "phi_lollipop requires d >= 2 and n - d >= 1, got n=4 d=4"),
+])
+def test_phi_domain_names_the_bounds(form, args, message):
+    with pytest.raises(FormulaDomainError, match=f"^{re.escape(message)}$"):
+        form(*args)
+
+
+@pytest.mark.parametrize("form,args,family", [
+    (imc_comet, (3, 4), "comet"),
+    (imc_double_comet, (8, 2, 2), "double-comet"),
+    (imc_double_comet_condensed, (8, 2, 2), "double-comet"),
+    (imc_lollipop, (6, 4), "lollipop"),
+])
+def test_imc_refuses_a_class_of_another_family(form, args, family):
+    foreign = NC.PATH_END if family == "comet" else NC.COMET_CENTER
+    with pytest.raises(FormulaDomainError, match=f"^{foreign.value} is not a {family} node class$"):
+        form(*args, foreign)

@@ -118,6 +118,7 @@ def test_small_comet_edge_cases():
         (lambda: CometSpec(3, 0), "t >= 1"),
         (lambda: DoubleCometSpec(4, 2, 1), "n - a - b >= 2"),
         (lambda: DoubleCometSpec(6, 0, 2), "a >= 1"),
+        (lambda: DoubleCometSpec(6, 2, 0), "b >= 1"),
         (lambda: LollipopSpec(5, 1), "d >= 2"),
         (lambda: LollipopSpec(4, 4), "n - d >= 1"),
     ],
@@ -125,6 +126,11 @@ def test_small_comet_edge_cases():
 def test_parameter_violations_name_the_bound(bad, message):
     with pytest.raises(FamilyParameterError, match=message):
         bad()
+
+
+def test_generate_refuses_what_is_no_spec():
+    with pytest.raises(TypeError, match=r"^not a family spec: \(4,\)$"):
+        generate((4,))
 
 
 class TestCrossFamilyIdentities:
@@ -190,6 +196,17 @@ class TestLabeledSerialization:
     def test_read_labeled_refuses_unknown_and_repeated_parameters(self, params, message):
         text = write_labeled(generate(PathSpec(4))).replace("n=4", params, 1)
         with pytest.raises(EdgeListError, match=f"^{message}$"):
+            read_labeled(text)
+
+    @pytest.mark.parametrize("line, replacement, message", [
+        ("# family path n=4", "# family cycle n=4", "unknown family 'cycle'"),
+        ("# family path n=4", "# family comet s=3", "family comet is missing parameter 't'"),
+        ("# family path n=4", "# family path n=5", "graph order 4 does not match family order 5"),
+        ("# class 0 path_end", "# class 0 hub", "unknown node class 'hub'"),
+    ])
+    def test_read_labeled_names_what_is_wrong(self, line, replacement, message):
+        text = write_labeled(generate(PathSpec(4))).replace(line, replacement, 1)
+        with pytest.raises(EdgeListError, match=f"^{re.escape(message)}$"):
             read_labeled(text)
 
     def test_read_labeled_refuses_a_class_for_a_node_the_graph_lacks(self):

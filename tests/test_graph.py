@@ -1,5 +1,6 @@
 """Graph core: parsing, degrees, connectivity, BFS, distance sums."""
 
+import dataclasses
 import random
 import sys
 import tracemalloc
@@ -79,6 +80,30 @@ class TestFromEdgeList:
         with pytest.raises(EdgeListError):
             from_edge_list([])
         assert from_edge_list([], n=1).n == 1
+
+    def test_order_below_one_rejected(self):
+        with pytest.raises(EdgeListError, match="^order must be at least 1, got n=0$"):
+            from_edge_list([(0, 1)], n=0)
+
+
+class TestGraphValue:
+    def test_fields_cannot_be_assigned(self):
+        g = path(3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.n = 4
+        assert g.n == 3
+
+    def test_equal_graphs_hash_equal_whichever_way_built(self):
+        parsed = parse_edge_list("1 2\n0 1\n")
+        built = from_edge_list([(0, 1), (1, 2)])
+        assert parsed == built and parsed is not built
+        assert hash(parsed) == hash(built)
+        assert len({parsed, built}) == 1
+        assert parsed != path(4) and parsed != (3, parsed.adj)
+
+    def test_repr_lists_the_edges(self):
+        assert repr(path(3)) == "Graph(n=3, edges=[(0, 1), (1, 2)])"
+        assert repr(from_edge_list([], n=2)) == "Graph(n=2, edges=[])"
 
 
 class TestDegree:

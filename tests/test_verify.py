@@ -59,6 +59,11 @@ def test_below_formula_floor_is_rejected():
         verify_family("lollipop", {"d": (3, 6)})
 
 
+def test_unknown_family_rejected():
+    with pytest.raises(FormulaDomainError, match="^unknown family 'cycle'$"):
+        resolve_ranges("cycle", None)
+
+
 def test_unknown_parameter_rejected():
     with pytest.raises(FormulaDomainError, match="no parameter"):
         verify_family("path", {"t": (4, 5)})
