@@ -1,9 +1,10 @@
 """Node contraction: merge a node and its entire neighborhood into one node.
 
 ``contract`` contracts a built graph.  ``contract_text`` builds the contracted
-graph of plain edge-list text without building the input graph: its id blocks
-are renumbered on their way to ``graph._from_blocks``, so the one builder makes
-only G/v.  Either way the merged node is G/v's last id, n(G/v) - 1.
+graph of plain edge-list text without building the input graph: its id blocks,
+less the edges that touch N[v], go to ``graph._from_blocks``, whose node table
+renumbers each old id as it first grows over it, so the one builder makes only
+G/v.  Either way the merged node is G/v's last id, n(G/v) - 1.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import compress, count, filterfalse
-from operator import sub
 from typing import Iterator
 
 from .errors import DegenerateOrderError
@@ -92,10 +92,11 @@ def contract_text(text: str, v: int) -> tuple[Graph, Iterator[int]] | None:
     None when the text is not plain (see ``graph``) or holds a fault, when no
     edge holds v (v isolated or out of the order), or when G is disconnected,
     so that the parser of record decides.  N(v) comes from one search for the
-    lines that hold v.  Then each block of ids is renumbered on its way to the
-    builder: a survivor u becomes u minus the members of S = N[v] below it,
-    pairs inside S go, and every survivor next to S is joined once to the
-    merged node n - |S| after the last block, once n is known.  A self-loop or
+    lines that hold v.  Then each block of old ids goes to the builder less its
+    pairs that touch S = N[v], and every survivor next to S is joined once to
+    the merged node, old id top + 1, after the last block.  The builder's node
+    table renumbers each old id once, as it grows over it: u becomes u minus
+    the members of S below it, which sends top + 1 to n - |S|.  A self-loop or
     a duplicate on an edge that touches S would vanish, so a set of those pairs
     finds it; the builder finds the rest.  G is connected exactly when G/v is,
     since N[v] is connected.
@@ -129,12 +130,15 @@ def contract_text(text: str, v: int) -> tuple[Graph, Iterator[int]] | None:
                     return
                 touched.add(key)
                 del ids[at:at + 2]
-            yield list(map(sub, ids, map(below, ids)))
-        merged = top + 1 - len(removed)
-        outside = sorted({u for pair in touched for u in pair} - removed)
-        yield [x for u in outside for x in (u - below(u), merged)]
+            yield ids
+        # The merged node enters as old id top + 1, above all of S.
+        outside = {u for pair in touched for u in pair} - removed
+        yield [x for u in outside for x in (u, top + 1)]
 
-    g = _from_blocks(blocks(), bound, 1)
+    # The limit is one past the bound, for the merged node alone: an id at the
+    # bound puts the merged node past it, or leaves it out, and declines.
+    g = _from_blocks(blocks(), bound + 1, 1,
+                     renumber=lambda lo, hi: [u - below(u) for u in range(lo, hi)])
     # g lacks the merged node when S is in no edge with a survivor.
     if g is None or g.n != top + 2 - len(removed) or not is_connected(g):
         return None

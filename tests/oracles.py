@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import re
 import sys
 from itertools import combinations
 
@@ -17,6 +18,12 @@ import numpy as np
 from agglorank.graph import Graph, bfs_distances, from_edge_list
 
 UNREACHED = 1 << 40  # sentinel; comfortably addable without int64 overflow
+
+# The bulk parser's plain check as one pattern, matched in full over a block:
+# one or more plain lines ("u v" in ASCII digits, or a comment that starts
+# the line and is no order header), the last newline optional.
+_PLAIN_LINE = r"(?:[0-9]+ [0-9]+|#(?!\s*n\s*=)[^\n]*)"
+PLAIN_BLOCK = re.compile(rf"(?:{_PLAIN_LINE}\n)*{_PLAIN_LINE}\n?")
 
 
 def minplus_distance_matrix(g: Graph) -> np.ndarray:

@@ -22,7 +22,7 @@ from agglorank.cli import _range_arg, main
 from agglorank.contraction import contract, contract_text
 from agglorank.families import (FAMILIES, MAX_SIZE, LollipopSpec, NodeClass, PathSpec, generate,
                                  read_labeled, write_labeled)
-from agglorank.graph import parse_edge_list, to_edge_list
+from agglorank.graph import from_edge_list, parse_edge_list, to_edge_list
 from agglorank.reports import decimal6
 from agglorank.verify import grid_specs
 
@@ -435,6 +435,49 @@ class TestContract:
     ])
     def test_new_path_agrees_with_the_old(self, text, node, new_path):
         assert_contract_as_before(text, node, new_path)
+
+
+class TestContractNumbering:
+    """contract_text renumbers the old ids in the builder's node table, with
+    the merged node entering as old id top + 1; the output is contract's."""
+
+    # Plain text's id bound is lines + 1, with lines = newlines + 1: 4 here.
+    # Id 4 leaves a node in no edge, so every node declines before the
+    # connectivity search starts.
+    @pytest.mark.parametrize("node", [0, 1, 4])
+    def test_an_id_at_the_bound_declines(self, node):
+        text = "0 1\n1 4\n"
+        with mock.patch("agglorank.contraction.is_connected", _no_search):
+            assert contract_text(text, node) is None
+        assert_contract_as_before(text, node, new_path=False)
+        # Run once to stdout and once with --output, each with the same error.
+        error = "error: 2 edges cannot connect 5 nodes (ids not dense?): a node is unreachable\n"
+        assert contract_both_ways(text, node)[0] == (3, "", 2 * error, None)
+
+    @pytest.mark.parametrize("node", [0, 1, 5, 6], ids=["bottom", "bottom, 0 a survivor",
+                                                         "top, 6 a survivor", "top"])
+    def test_the_contracted_set_at_either_end_of_the_ids(self, node):
+        text = "3 4\n0 1\n5 6\n1 2\n2 3\n4 5\n"
+        assert_contract_as_before(text, node, new_path=True)
+
+    @pytest.mark.parametrize("text,node", [("0 1\n0 2\n0 3\n", 0), ("3 1\n2 3\n0 3\n", 3),
+                                           ("1 0\n", 1), (K4, 3)])
+    def test_the_one_node_result(self, text, node):
+        assert contract_text(text, node)[0] == parse_edge_list("# n=1\n")
+        assert_contract_as_before(text, node, new_path=True)
+
+    def test_survivors_touch_the_contracted_set_from_below_and_above(self):
+        # N[3] = {1, 3, 5}; survivors 0 and 2 lie below parts of it, 4 between
+        # and 6 above all of it, and each is joined once to the merged node.
+        text = "3 1\n3 5\n0 1\n2 1\n4 5\n6 5\n2 4\n0 6\n2 5\n"
+        g, survivors = contract_text(text, 3)
+        assert list(survivors) == [0, 2, 4, 6]
+        assert g == from_edge_list([(0, 4), (1, 4), (2, 4), (3, 4), (1, 2), (0, 3)])
+        assert_contract_as_before(text, 3, new_path=True)
+
+
+def _no_search(g):
+    raise AssertionError("the connectivity search ran")
 
 
 class TestConnectivityPrecondition:

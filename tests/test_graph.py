@@ -26,6 +26,7 @@ from agglorank.graph import (
 )
 
 from oracles import (
+    PLAIN_BLOCK,
     drain_tuple_free_lists,
     graph_bytes,
     minplus_distance_matrix,
@@ -582,6 +583,8 @@ def test_near_plain_text_gives_the_same_graph(text):
 # Block sizes that put a block boundary inside almost any short text: one line
 # per block, and blocks of about two lines.
 _SMALL_BLOCKS = [1, 7]
+# Whole-block sizes: the parser's own, and 16 KiB, its size before 4 KiB.
+_WHOLE_BLOCKS = [1 << 14, graph._BLOCK_CHARS]
 
 
 @pytest.mark.parametrize("block_chars", _SMALL_BLOCKS)
@@ -608,7 +611,7 @@ def test_plain_faults_across_blocks(monkeypatch, block_chars, text, connected, k
                                                            line)
 
 
-@pytest.mark.parametrize("block_chars", [*_SMALL_BLOCKS, graph._BLOCK_CHARS])
+@pytest.mark.parametrize("block_chars", [*_SMALL_BLOCKS, *_WHOLE_BLOCKS])
 def test_ids_at_the_bound_go_line_by_line(monkeypatch, block_chars):
     # The bound is lines + 1 under connected and 2 * lines otherwise, with
     # lines = newlines + 1.
@@ -626,7 +629,7 @@ def test_ids_at_the_bound_go_line_by_line(monkeypatch, block_chars):
         assert_paths_agree(text)
 
 
-@pytest.mark.parametrize("block_chars", [*_SMALL_BLOCKS, graph._BLOCK_CHARS])
+@pytest.mark.parametrize("block_chars", [*_SMALL_BLOCKS, *_WHOLE_BLOCKS])
 def test_comment_lines_take_the_bulk_path(monkeypatch, block_chars):
     # Blocks of comments alone add no ids; a comment may hold any character
     # but a line break, and may end the text without a newline.
@@ -638,7 +641,7 @@ def test_comment_lines_take_the_bulk_path(monkeypatch, block_chars):
     assert parse_edge_list("#\n" * 50 + to_edge_list(path(50)) + "#\n" * 50) == path(50)
 
 
-@pytest.mark.parametrize("block_chars", [*_SMALL_BLOCKS, graph._BLOCK_CHARS])
+@pytest.mark.parametrize("block_chars", [*_SMALL_BLOCKS, *_WHOLE_BLOCKS])
 @pytest.mark.parametrize("text", ["# n=3\n0 1\n1 2\n", "#n = 3\n0 1\n1 2\n",
                                   "0 1\n # x\n1 2\n", "0 1\n# x\u2028 1 2\n2 3\n"])
 def test_order_headers_and_indented_comments_go_line_by_line(monkeypatch, block_chars, text):
@@ -648,7 +651,7 @@ def test_order_headers_and_indented_comments_go_line_by_line(monkeypatch, block_
     assert_paths_agree(text)
 
 
-@pytest.mark.parametrize("block_chars", [*_SMALL_BLOCKS, graph._BLOCK_CHARS])
+@pytest.mark.parametrize("block_chars", [*_SMALL_BLOCKS, *_WHOLE_BLOCKS])
 @pytest.mark.parametrize("brk", ["\r\n", *graph._LINE_BREAKS])
 def test_other_line_breaks_take_the_bulk_path(monkeypatch, block_chars, brk):
     # Each break ends its line, in a comment too: "1 2" after "# x" is an edge.
@@ -659,7 +662,7 @@ def test_other_line_breaks_take_the_bulk_path(monkeypatch, block_chars, brk):
     assert parse_edge_list(text, connected=True) == path(4)
 
 
-@pytest.mark.parametrize("block_chars", [*_SMALL_BLOCKS, graph._BLOCK_CHARS])
+@pytest.mark.parametrize("block_chars", [*_SMALL_BLOCKS, *_WHOLE_BLOCKS])
 def test_the_id_bound_counts_edge_lines_only(monkeypatch, block_chars):
     # Else a text of comments and one far edge would allocate a node table
     # as long as the text.
@@ -686,6 +689,70 @@ def test_the_line_path_keeps_one_int_per_node():
 def test_line_breaks_are_those_of_splitlines():
     breaks = {c for c in map(chr, range(sys.maxunicode + 1)) if len(f"a{c}b".splitlines()) == 2}
     assert sorted(graph._LINE_BREAKS) == sorted(breaks - {"\n"})
+
+
+# Pieces of text over digits, space, "\n", "#", "n", "=", "\t" and "\r", some
+# of them whole plain lines, order headers or comments.
+_PIECES = st.lists(st.sampled_from(["0", "7", "12", " ", "\n", "#", "n", "=", "\t", "\r",
+                                    "1 2\n", "# x\n", "#n=", "# n =", "\r\n"]),
+                   max_size=16).map("".join)
+
+
+@given(_PIECES)
+@settings(max_examples=500, deadline=None)
+def test_the_plain_check_agrees_with_one_pattern_on_whole_texts(text):
+    assume(text)
+    assert graph._is_plain(text, 0, len(text)) == bool(PLAIN_BLOCK.fullmatch(text))
+
+
+@given(_PIECES, _PIECES, _PIECES, st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_the_plain_check_agrees_with_one_pattern_on_a_later_block(before, block, after, last):
+    # The block starts after other lines, and ends at a newline or ends the text.
+    assume(block)
+    text = f"{before}\n{block}" + ("" if last else f"\n{after}")
+    start = len(before) + 1
+    end = len(text) if last else start + len(block) + 1
+    assert graph._is_plain(text, start, end) == bool(PLAIN_BLOCK.fullmatch(text, start, end))
+
+
+def test_the_plain_check_holds_no_state_per_line():
+    # One pattern matched over a whole 16 KiB block kept about 450 KiB of
+    # backtracking state, some 300 bytes a line.
+    text = random_edge_text(20_000, 40_000)
+    end = text.find("\n", (1 << 14) - 1) + 1
+    tracemalloc.start()
+    try:
+        plain = graph._is_plain(text, 0, end)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plain
+    assert peak < 1 << 14, f"checking a block of {end} characters took {peak} B"
+
+
+@given(st.lists(st.sampled_from(["a", "\n", "\r\n", *graph._LINE_BREAKS]), max_size=12)
+       .map("".join))
+@settings(max_examples=500, deadline=None)
+def test_newlines_only_is_the_join_of_splitlines(text):
+    # A text with only "\n" breaks is kept as it is, a final "\n" included.
+    other_breaks = any(c in text for c in graph._LINE_BREAKS)
+    assert graph._newlines_only(text) == ("\n".join(text.splitlines()) if other_breaks else text)
+
+
+def test_renumbering_runs_once_per_node_of_the_table():
+    # Each block id is renumbered as the node table first grows over it: the
+    # ranges tile 0..top once, in order.  Ids 1 and 4 are in no edge and are
+    # left out, as contract_text leaves out the contracted set.
+    ranges = []
+
+    def renumber(lo, hi):
+        ranges.append((lo, hi))
+        return [u - (u > 1) - (u > 4) for u in range(lo, hi)]
+
+    g = graph._from_blocks(iter([[0, 2], [3, 2, 0, 3], [5, 0]]), 6, renumber=renumber)
+    assert ranges == [(0, 3), (3, 4), (4, 6)]
+    assert g == from_edge_list([(0, 1), (2, 1), (0, 2), (3, 0)])
 
 
 def test_plain_parse_memory_stays_near_the_graph():
