@@ -1,10 +1,10 @@
 """Node contraction: merge a node and its entire neighborhood into one node.
 
-``contract`` contracts a built graph.  ``contract_text`` builds the contracted
-graph of plain edge-list text without building the input graph: its id blocks,
-less the edges that touch N[v], go to ``graph._from_blocks``, whose node table
-renumbers each old id as it first grows over it, so the one builder makes only
-G/v.  Either way the merged node is G/v's last id, n(G/v) - 1.
+``contract`` contracts a built graph.  ``contract_text`` builds G/v from plain
+text (``graph._plain_text``) without the input graph: its id blocks, less the
+edges that touch N[v], go to ``graph._from_blocks``, whose node table renumbers
+each old id as it first grows over it, so the one builder makes only G/v.
+Either way the merged node is G/v's last id, n(G/v) - 1.
 """
 
 from __future__ import annotations
@@ -89,19 +89,21 @@ def contract_text(text: str, v: int) -> tuple[Graph, Iterator[int]] | None:
     Returns G/v, whose last id is the merged node, and the surviving old ids in
     ascending order, whose new ids are 0, 1, ...: what ``contract`` of the
     parsed text gives.
-    None when the text is not plain (see ``graph``) or holds a fault, when no
-    edge holds v (v isolated or out of the order), or when G is disconnected,
-    so that the parser of record decides.  N(v) comes from one search for the
-    lines that hold v.  Then each block of old ids goes to the builder less its
-    pairs that touch S = N[v], and every survivor next to S is joined once to
-    the merged node, old id top + 1, after the last block.  The builder's node
-    table renumbers each old id once, as it grows over it: u becomes u minus
-    the members of S below it, which sends top + 1 to n - |S|.  A self-loop or
-    a duplicate on an edge that touches S would vanish, so a set of those pairs
-    finds it; the builder finds the rest.  G is connected exactly when G/v is,
-    since N[v] is connected.
+    None when the text is not plain (``graph._plain_text``, before any search)
+    or holds a fault, when no edge holds v (v isolated or out of the order), or
+    when G is disconnected, so that the parser of record decides.  N(v) comes
+    from one search for the lines that hold v.  Then each block of old ids goes
+    to the builder less its pairs that touch S = N[v], and every survivor next
+    to S is joined once to the merged node, old id top + 1, after the last
+    block.  The builder's node table renumbers each old id once, as it grows
+    over it: u becomes u minus the members of S below it, which sends top + 1
+    to n - |S|.  A self-loop or a duplicate on an edge that touches S would
+    vanish, so a set of those pairs finds it; the builder finds the rest.  G is
+    connected exactly when G/v is, since N[v] is connected.
     """
-    text, bound = _plain_text(text, connected=True)
+    if (plain := _plain_text(text, connected=True)) is None:
+        return None
+    text, bound = plain
     lines = re.findall(rf"^(?:0*{v} ([0-9]+)|([0-9]+) 0*{v})$", text, re.MULTILINE)
     if not lines:
         return None  # v is isolated or out of the order

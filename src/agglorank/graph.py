@@ -10,19 +10,19 @@ Every graph is built by ``_from_blocks`` through a node table, with one int
 object per node, and a self-loop or a duplicate is found from the built
 adjacency.  Plain text ("u v" lines of ASCII digits and one space, and
 comment lines that start the line and are no order header) parses this way
-in bulk, checked and split one block of lines at a time; it declines ids at
-or above a bound taken from the count of edge lines.  A block is checked by
-matching its first line and searching for a newline before a line that is
-not plain (``_is_plain``), which holds no state from line to line.  The bulk
-path reads every line break of ``str.splitlines()`` as "\n"
-(``_newlines_only``).  Anything else, plain text with a fault, or such an id
-goes line by line through ``_validated``, which gives the same graph and is
-the only code that raises.  ``from_edge_list`` builds the same way and names
-a fault from ``_validated``.  ``contraction.contract_text`` passes the same
-plain blocks to ``_from_blocks`` with a renumbering of the node table, to
-build a contracted graph without its input graph.  ``to_edge_list`` joins
-the blocks of ``_edge_lines``, which the ``contract`` command writes one at
-a time.
+in bulk, split one block of lines at a time; it declines ids at or above a
+bound taken from the count of edge lines.  ``_plain_text`` decides once, for
+the whole text, whether it is plain, by matching its first line and searching
+for a newline before a line that is not plain, which holds no state from
+line to line.  The bulk path reads every line break of ``str.splitlines()``
+as "\n" (``_newlines_only``).  Anything else, plain text with a fault, or
+such an id goes line by line through ``_validated``, which gives the same
+graph and is the only code that raises.  ``from_edge_list`` builds the same
+way and names a fault from ``_validated``.  ``contraction.contract_text``
+passes the same plain blocks to ``_from_blocks`` with a renumbering of the
+node table, to build a contracted graph without its input graph.
+``to_edge_list`` joins the blocks of ``_edge_lines``, which the ``contract``
+command writes one at a time.
 """
 
 from __future__ import annotations
@@ -47,11 +47,11 @@ _LINE_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # the line and is no order header.
 _PLAIN_LINE = re.compile(r"(?:[0-9]+ [0-9]+|#(?!\s*n\s*=)[^\n]*)(?:\n|\Z)")
 # A newline that starts a line that is not plain: searched for, it keeps no
-# state per line, as one pattern matched over a whole block would.
+# state per line, as one pattern matched over the whole text would.
 _NOT_PLAIN = re.compile(rf"\n(?!{_PLAIN_LINE.pattern})")
 _COMMENT_LINE = re.compile(r"^#.*\n?", re.MULTILINE)
-# Plain text is checked and split in blocks of about this many characters,
-# each ending at a newline, so the regex and the split hold one block at a time.
+# Plain text is split in blocks of about this many characters, each ending at
+# a newline, so the split holds one block at a time.
 # The split's strings take 10-14 bytes per character of "u v" lines; 4 KiB
 # blocks parse as fast as 16 KiB ones and hold a quarter of that.
 _BLOCK_CHARS = 1 << 12
@@ -143,17 +143,17 @@ def _validated(
 
 
 def _from_blocks(blocks: Iterable[list[int] | None], limit: int, order: int = 0, *,
-                 connected: bool = False, simple: bool = False,
+                 simple: bool = False,
                  renumber: Callable[[int, int], Iterable[int]] | None = None) -> Graph | None:
     """Build through a node table from blocks of flat ids u0, v0, u1, v1, ...
 
     ``node[i] is i``, so the graph holds one int object per node.  The order is
     the larger of ``order`` and 1 + the largest id.  None, without naming the
     fault, as soon as a block is None or holds an id outside [0, limit), when
-    the graph would have no node or, with ``connected``, fewer than n - 1
-    edges, or when a self-loop or a duplicate leaves a repeat in some
-    neighbour list.  ``simple`` says the caller has already ruled out every
-    self-loop and duplicate, so the neighbour lists are not searched again.
+    the graph would have no node, or when a self-loop or a duplicate leaves a
+    repeat in some neighbour list.  ``simple`` says the caller has already
+    ruled out every self-loop and duplicate, so the neighbour lists are not
+    searched again.
     ``renumber(lo, hi)``, when given, gives the graph's ids of the block ids
     lo, ..., hi - 1 as the table grows over them, ascending: ``node[i]`` is
     then i's new id, found once per id of the table, not once per edge end.
@@ -181,7 +181,7 @@ def _from_blocks(blocks: Iterable[list[int] | None], limit: int, order: int = 0,
             adj[v].append(u)
         m += len(ids) // 2
     adj += [[] for _ in range(len(adj), order)]
-    if not adj or (connected and m < len(adj) - 1):
+    if not adj:
         return None
     if not simple and sum(map(len, map(set, adj))) != 2 * m:
         return None
@@ -231,17 +231,22 @@ def parse_edge_list(text: str, *, connected: bool = False) -> Graph:
 def _parse_plain(text: str, connected: bool) -> Graph | None:
     # The graph of plain text, one block of lines at a time; None whenever
     # the text is not plain or holds a fault, so that the line path names it.
-    text, bound = _plain_text(text, connected)
-    return _from_blocks(_plain_blocks(text), bound, connected=connected)
+    plain = _plain_text(text, connected)
+    return None if plain is None else _from_blocks(_plain_blocks(plain[0]), plain[1])
 
 
-def _plain_text(text: str, connected: bool) -> tuple[str, int]:
-    # The text with "\n" line breaks, and the bound that plain text's ids stay
-    # below.  An id at or above it would leave a node in no edge (or, under
-    # connected, too few edges), so the table of ids never outgrows the edge
-    # lines.  In plain text every comment line starts the text or follows "\n".
+def _plain_text(text: str, connected: bool) -> tuple[str, int] | None:
+    # The text with "\n" line breaks and the bound its ids stay below; None
+    # unless its first line, and each line after a "\n" but a final one, is
+    # plain.  A final "\n" ends a line and starts none, so each edge line is
+    # one of m edges, and an id at or above the bound would give a node in
+    # no edge (under connected, over m + 1 nodes).  In plain text every
+    # comment line starts the text or follows "\n".
     text = _newlines_only(text)
-    edge_lines = text.count("\n") + 1 - text.count("\n#") - text.startswith("#")
+    stop = len(text) - text.endswith("\n")
+    if not _PLAIN_LINE.match(text, 0, stop) or _NOT_PLAIN.search(text, 0, stop):
+        return None
+    edge_lines = text.count("\n", 0, stop) + 1 - text.count("\n#") - text.startswith("#")
     return text, edge_lines + 1 if connected else 2 * edge_lines
 
 
@@ -257,14 +262,11 @@ def _newlines_only(text: str) -> str:
 
 
 def _plain_blocks(text: str) -> Iterator[list[int] | None]:
-    # The ids of each block of whole lines, comment lines stripped; None, and
-    # no more, once a block is not plain.
+    # The ids of each block of whole lines of plain text, comment lines
+    # stripped; None for a block with an id that int() refuses.
     start = 0
     while start < len(text):
         end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(text)
-        if not _is_plain(text, start, end):
-            yield None
-            return
         block = text[start:end]
         if "#" in block:
             block = _COMMENT_LINE.sub("", block)
@@ -274,13 +276,6 @@ def _plain_blocks(text: str) -> Iterator[list[int] | None]:
             ids = None
         yield ids
         start = end
-
-
-def _is_plain(text: str, start: int, end: int) -> bool:
-    # True iff text[start:end], whole lines with the last newline optional, is
-    # plain: its first line, and each line after a newline before the last.
-    stop = end - (text[end - 1] == "\n")
-    return bool(_PLAIN_LINE.match(text, start, stop)) and not _NOT_PLAIN.search(text, start, stop)
 
 
 def _node_id(token: str) -> int:

@@ -1,10 +1,20 @@
 """Fixtures for the tests of the fork-based split (``--jobs``), and the
 environment for tests that run Python in a subprocess."""
 
+import contextlib
 import os
+import warnings
 from pathlib import Path
 
 import pytest
+
+# Hypothesis's pytest plugin imports this module when a test fails, and the
+# import warns (libcst on mypy_extensions.TypedDict).  Under the "error" filter
+# below, that warning aborted the whole run in place of reporting the failure.
+# Imported here, outside any test, with only its own deprecations ignored.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"

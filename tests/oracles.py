@@ -11,10 +11,12 @@ import heapq
 import random
 import re
 import sys
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
+from agglorank.agglomeration import ImcEntry, RankReport
 from agglorank.graph import Graph, bfs_distances, from_edge_list
 
 UNREACHED = 1 << 40  # sentinel; comfortably addable without int64 overflow
@@ -127,6 +129,23 @@ def contraction_by_definition(g: Graph, v: int) -> tuple[Graph, int, dict[int, i
         if x != y:
             edges.add((min(x, y), max(x, y)))
     return from_edge_list(sorted(edges), n=merged + 1), merged, old_to_new
+
+
+def contraction_imc_all(g: Graph) -> RankReport:
+    """``imc_all``'s report by the definition, from this module alone: each G/v
+    by ``contraction_by_definition``, each phi from ``oracle_distance_sum``,
+    and the entries sorted by imc descending, ties by ascending id."""
+    total = oracle_distance_sum(g)
+    phi_g = Fraction(g.n - 1, total)
+    entries = []
+    for v in range(g.n):
+        contracted = contraction_by_definition(g, v)[0]
+        k = contracted.n
+        phi_v = Fraction(1) if k == 1 else Fraction(k - 1, oracle_distance_sum(contracted))
+        entries.append(ImcEntry(node=v, imc=1 - phi_g / phi_v, contracted_order=k))
+    entries.sort(key=lambda e: (-e.imc, e.node))
+    return RankReport(phi=phi_g, avg_path_length=Fraction(total, g.n * (g.n - 1)),
+                      entries=tuple(entries))
 
 
 def distance_signature(g: Graph) -> tuple:

@@ -3,7 +3,8 @@ distance sum also runs (``graph._peel``, then ``agglomeration._tree_sums``);
 every other graph contracts each node.  Both must give the report of the
 definition: ``imc(g, v)``, contract-then-phi, for every node, with phi equal
 to the min-plus oracle's and entries sorted by importance descending, ties by
-ascending id."""
+ascending id.  ``oracles.contraction_imc_all`` builds that report from the
+test oracles alone, for any engine to equal."""
 
 import random
 from fractions import Fraction
@@ -20,7 +21,14 @@ from agglorank.errors import ConnectivityError
 from agglorank.families import CometSpec, LollipopSpec, PathSpec, generate
 from agglorank.graph import Graph, bfs_distances, from_edge_list, parse_edge_list
 
-from oracles import oracle_distance_sum, pruefer_edges, random_connected_graph
+from oracles import (
+    all_connected_labeled_graphs,
+    contraction_imc_all,
+    oracle_distance_sum,
+    pruefer_edges,
+    random_connected_graph,
+    with_pendant_trees,
+)
 
 
 def pruefer_tree(code: list[int], n: int) -> Graph:
@@ -115,3 +123,86 @@ def test_a_disconnected_graph_with_n_minus_1_edges_is_no_tree():
             imc_all(g)
         assert str(err.value) == str(bfs.value) == "node 3 is unreachable from node 0"
         assert err.value.unreachable == bfs.value.unreachable == 3
+
+
+# Connected labelled graphs on n nodes, n = 2..5.
+_CONNECTED_COUNTS = {2: 1, 3: 4, 4: 38, 5: 728}
+
+
+@pytest.mark.parametrize("n", sorted(_CONNECTED_COUNTS))
+def test_every_small_connected_graph_ranks_as_the_contraction_oracle(n):
+    graphs = list(all_connected_labeled_graphs(n))
+    assert len(graphs) == _CONNECTED_COUNTS[n]
+    for g in graphs:
+        assert imc_all(g) == contraction_imc_all(g)
+
+
+def _relabeled(rng: random.Random, n: int, edges) -> Graph:
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return from_edge_list([(perm[u], perm[v]) for u, v in edges], n=n)
+
+
+def _pendant_trees(rng: random.Random) -> Graph:
+    return with_pendant_trees(rng, random_connected_graph(rng, rng.randint(2, 8)),
+                              rng.randint(1, 8))
+
+
+def _clique_with_tails(rng: random.Random) -> Graph:
+    # K_k, then 1-3 tails of 1-4 nodes, each hung off any node built so far.
+    k = rng.randint(2, 8)
+    edges = [(u, v) for v in range(k) for u in range(v)]
+    n = k
+    for _ in range(rng.randint(1, 3)):
+        end = rng.randrange(n)
+        for _ in range(rng.randint(1, 4)):
+            edges.append((end, n))
+            end, n = n, n + 1
+    return _relabeled(rng, n, edges)
+
+
+def _true_twins(rng: random.Random) -> Graph:
+    # A random connected graph with node x blown up into a clique of w nodes,
+    # each joined to all of N(x): w nodes with one closed neighbourhood.
+    base = random_connected_graph(rng, rng.randint(2, 7))
+    x, w = rng.randrange(base.n), rng.randint(2, 5)
+    twins = [x, *range(base.n, base.n + w - 1)]
+    edges = [*base.edges(), *((t, u) for t in twins[1:] for u in base.adj[x]),
+             *((a, b) for i, b in enumerate(twins) for a in twins[:i])]
+    return _relabeled(rng, base.n + w - 1, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([_pendant_trees, _clique_with_tails, _true_twins]),
+       st.integers(0, 2**32 - 1))
+def test_structured_graphs_rank_as_the_contraction_oracle(build, seed):
+    g = build(random.Random(seed))
+    assert imc_all(g) == contraction_imc_all(g)
+
+
+def _sparse(rng: random.Random, n: int) -> Graph:
+    # The rank workload's recipe at degree 4: a random recursive tree, uniform
+    # extra edges up to 2n, then shuffled ids.
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < 2 * n:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return _relabeled(rng, n, sorted(edges))
+
+
+def _lollipop(rng: random.Random, n: int, d: int) -> Graph:
+    g = generate(LollipopSpec(n, d)).graph
+    return _relabeled(rng, n, g.edges())
+
+
+_RANK_SHAPES = [(_sparse, (n,), seed) for n in (12, 20, 30, 40) for seed in range(3)] + [
+    (_lollipop, (12, 6), 0), (_lollipop, (20, 2), 0), (_lollipop, (30, 15), 1)]
+
+
+@pytest.mark.parametrize("build, args, seed", _RANK_SHAPES,
+                         ids=["-".join([b.__name__[1:], *map(str, a), f"seed{s}"])
+                              for b, a, s in _RANK_SHAPES])
+def test_rank_workload_shapes_rank_as_the_contraction_oracle(build, args, seed):
+    g = build(random.Random(seed), *args)
+    assert imc_all(g) == contraction_imc_all(g)

@@ -7,11 +7,12 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agglorank import graph
-from agglorank.contraction import contract
+from agglorank import contraction
+from agglorank.contraction import contract, contract_text
 from agglorank.errors import ConnectivityError, DegenerateOrderError, EdgeListError
 from agglorank.families import LollipopSpec, generate
 from agglorank.graph import (
@@ -613,19 +614,31 @@ def test_plain_faults_across_blocks(monkeypatch, block_chars, text, connected, k
 
 @pytest.mark.parametrize("block_chars", [*_SMALL_BLOCKS, *_WHOLE_BLOCKS])
 def test_ids_at_the_bound_go_line_by_line(monkeypatch, block_chars):
-    # The bound is lines + 1 under connected and 2 * lines otherwise, with
-    # lines = newlines + 1.
+    # The bound is m + 1 under connected and 2m otherwise, with m the count of
+    # edge lines: a final newline ends a line and starts none.
     monkeypatch.setattr(graph, "_BLOCK_CHARS", block_chars)
-    assert graph._parse_plain("0 3\n", True) is None
-    with pytest.raises(ConnectivityError, match="1 edges cannot connect 4 nodes"):
-        parse_edge_list("0 3\n", connected=True)
+    for text in ("0 2\n", "0 2"):
+        assert graph._parse_plain(text, True) is None
+        with pytest.raises(ConnectivityError, match="1 edges cannot connect 3 nodes"):
+            parse_edge_list(text, connected=True)
+    assert graph._parse_plain("0 1\n1 3\n", True) is None
+    assert graph._parse_plain("0 1\n1 2\n", True) == path(3)
     assert graph._parse_plain("0 9\n1 2\n", False) is None
     assert parse_edge_list("0 9\n1 2\n") == from_edge_list([(0, 9), (1, 2)])
-    assert graph._parse_plain("0 6\n1 2\n", False) is None  # 6 = 2 * 3 lines
+    assert graph._parse_plain("0 4\n1 2\n", False) is None  # 4 = 2 * 2 lines
     # Just below the bound the bulk path builds the isolated nodes itself.
-    assert graph._parse_plain("0 3\n", False) == from_edge_list([(0, 3)])
-    assert graph._parse_plain("0 5\n1 2\n", False) == from_edge_list([(0, 5), (1, 2)])
-    for text in ("0 3\n", "0 9\n1 2\n", "0 6\n1 2\n", "0 5\n1 2\n"):
+    for text in ("0 3\n1 3\n", "0 3\n1 3"):
+        assert graph._parse_plain(text, False) == from_edge_list([(0, 3), (1, 3)])
+    assert graph._parse_plain("0 5\n1 2\n0 1\n", False) == from_edge_list(
+        [(0, 5), (1, 2), (0, 1)])
+    # Between the bound and the one of a count with the final newline as a
+    # line of its own, the line path builds the same graph.
+    for text, edges in (("0 3\n", [(0, 3)]), ("0 5\n1 2\n", [(0, 5), (1, 2)])):
+        assert graph._parse_plain(text, False) is None
+        assert parse_edge_list(text) == from_edge_list(edges)
+    for text in ("0 3\n", "0 9\n1 2\n", "0 6\n1 2\n", "0 5\n1 2\n", "0 2\n", "0 2",
+                 "0 1\n1 3\n", "0 1\n1 2\n", "0 4\n1 2\n", "0 3\n1 3\n", "0 3\n1 3",
+                 "0 5\n1 2\n0 1\n"):
         assert_paths_agree(text)
 
 
@@ -691,44 +704,59 @@ def test_line_breaks_are_those_of_splitlines():
     assert sorted(graph._LINE_BREAKS) == sorted(breaks - {"\n"})
 
 
-# Pieces of text over digits, space, "\n", "#", "n", "=", "\t" and "\r", some
-# of them whole plain lines, order headers or comments.
-_PIECES = st.lists(st.sampled_from(["0", "7", "12", " ", "\n", "#", "n", "=", "\t", "\r",
-                                    "1 2\n", "# x\n", "#n=", "# n =", "\r\n"]),
-                   max_size=16).map("".join)
+# Pieces of text over digits, space, "\n", "#", "n", "=" and "\t", some of them
+# whole plain lines, order headers or comments; _PIECES adds "\r".
+_LF_PIECES = ["0", "7", "12", " ", "\n", "#", "n", "=", "\t", "1 2\n", "# x\n", "#n=", "# n ="]
+_PIECES = st.lists(st.sampled_from([*_LF_PIECES, "\r", "\r\n"]), max_size=16).map("".join)
+
+
+def _is_plain(text):
+    return graph._plain_text(text, False) is not None
 
 
 @given(_PIECES)
 @settings(max_examples=500, deadline=None)
 def test_the_plain_check_agrees_with_one_pattern_on_whole_texts(text):
-    assume(text)
-    assert graph._is_plain(text, 0, len(text)) == bool(PLAIN_BLOCK.fullmatch(text))
+    assert _is_plain(text) == bool(PLAIN_BLOCK.fullmatch(graph._newlines_only(text)))
 
 
-@given(_PIECES, _PIECES, _PIECES, st.booleans())
+@given(st.lists(st.sampled_from(["0 1\n", "12 7\n", "#\n", "# x\n", "# class 3 path_end\n"]),
+                max_size=30).map("".join),
+       st.sampled_from(["", " ", "7", "x", "0\t1", " 0 1", "0  1", "0 1 ", "0 1 2", " # x",
+                        "# n=3", "#n = 3"]),
+       st.lists(st.sampled_from(_LF_PIECES), max_size=16).map("".join))
 @settings(max_examples=500, deadline=None)
-def test_the_plain_check_agrees_with_one_pattern_on_a_later_block(before, block, after, last):
-    # The block starts after other lines, and ends at a newline or ends the text.
-    assume(block)
-    text = f"{before}\n{block}" + ("" if last else f"\n{after}")
-    start = len(before) + 1
-    end = len(text) if last else start + len(block) + 1
-    assert graph._is_plain(text, start, end) == bool(PLAIN_BLOCK.fullmatch(text, start, end))
+def test_the_plain_check_finds_a_line_that_is_not_plain_after_any_prefix(before, line, after):
+    text = f"{before}{line}\n{after}"
+    assert not PLAIN_BLOCK.fullmatch(text)
+    assert not _is_plain(text)
 
 
 def test_the_plain_check_holds_no_state_per_line():
     # One pattern matched over a whole 16 KiB block kept about 450 KiB of
-    # backtracking state, some 300 bytes a line.
+    # backtracking state, some 300 bytes a line; the check takes the whole text.
     text = random_edge_text(20_000, 40_000)
-    end = text.find("\n", (1 << 14) - 1) + 1
     tracemalloc.start()
     try:
-        plain = graph._is_plain(text, 0, end)
+        plain = _is_plain(text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert plain
-    assert peak < 1 << 14, f"checking a block of {end} characters took {peak} B"
+    assert peak < 1 << 14, f"checking {len(text)} characters took {peak} B"
+
+
+def _no_blocks(text):
+    raise AssertionError("text that is not plain was split into blocks")
+
+
+def test_a_last_line_that_is_not_plain_is_found_before_any_block(monkeypatch):
+    lines = random_edge_text(1000, 2000).splitlines(keepends=True)
+    text = "".join(lines[:-1]) + lines[-1].replace(" ", "\t")
+    monkeypatch.setattr(graph, "_plain_blocks", _no_blocks)
+    monkeypatch.setattr(contraction, "_plain_blocks", _no_blocks)
+    assert parse_edge_list(text, connected=True) == graph._parse_lines(text, True)
+    assert contract_text(text, 0) is None
 
 
 @given(st.lists(st.sampled_from(["a", "\n", "\r\n", *graph._LINE_BREAKS]), max_size=12)
