@@ -18,7 +18,7 @@ from .contraction import contract, contract_text
 from .errors import AggloRankError, ConnectivityError, EdgeListError, FamilyParameterError
 from .families import (FAMILIES, MAX_SIZE, check_class_nodes, generate, scan_class_comments,
                        write_labeled)
-from .graph import _WRITE_NODES, Graph, _edge_lines, bfs_distances, parse_edge_list
+from .graph import _WRITE_NODES, _edge_lines, bfs_distances, parse_edge_list
 from .reports import FORMATS, render_phi, render_rank, render_verify
 
 import argparse
@@ -27,7 +27,7 @@ import sys
 from dataclasses import fields
 from itertools import count, islice
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -113,20 +113,21 @@ def cmd_contract(args: argparse.Namespace) -> int:
         result = contract(g, args.node)
         del g  # the input graph is not needed to write the result
         merged = result.merged_into
-        contracted = result.graph, (old for old, new in enumerate(result.new_ids) if new != merged)
+        contracted = (result.graph.adj,
+                      (old for old, new in enumerate(result.new_ids) if new != merged))
     _emit(args, _contraction_blocks(*contracted))
     return EXIT_OK
 
 
-def _contraction_blocks(g: Graph, survivors: Iterable[int]) -> Iterator[str]:
-    # "# merged" with g's last id, the merged node, then the "# map" lines and
-    # the edges of g, _WRITE_NODES nodes at a time.  Survivors come in ascending
-    # old-id order, numbered 0, 1, ...
-    yield f"# merged {g.n - 1}\n"
+def _contraction_blocks(adj: Sequence[Sequence[int]], survivors: Iterable[int]) -> Iterator[str]:
+    # "# merged" with the last id of G/v, whose neighbour lists are adj, then
+    # the "# map" lines and the edges of G/v, _WRITE_NODES nodes at a time.
+    # Survivors come in ascending old-id order, numbered 0, 1, ...
+    yield f"# merged {len(adj) - 1}\n"
     rows = zip(survivors, count())
     while block := "".join([f"# map {old} {new}\n" for old, new in islice(rows, _WRITE_NODES)]):
         yield block
-    yield from _edge_lines(g)
+    yield from _edge_lines(adj)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -2,9 +2,9 @@
 
 ``contract`` contracts a built graph.  ``contract_text`` builds G/v from plain
 text (``graph._plain_text``) without the input graph: its id blocks, less the
-edges that touch N[v], go to ``graph._from_blocks``, whose node table renumbers
-each old id as it first grows over it, so the one builder makes only G/v.
-Either way the merged node is G/v's last id, n(G/v) - 1.
+edges that touch N[v], go to ``graph._rows``, whose node table renumbers each
+old id as it first grows over it, so the one builder makes only G/v's sorted
+neighbour lists.  Either way the merged node is G/v's last id, n(G/v) - 1.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from itertools import compress, count, filterfalse
 from typing import Iterator
 
 from .errors import DegenerateOrderError
-from .graph import Graph, _check_node, _from_blocks, _plain_blocks, _plain_text, is_connected
+from .graph import Graph, _check_node, _plain_blocks, _plain_text, _reaches_all, _rows
 
 
 @dataclass(frozen=True)
@@ -83,23 +83,25 @@ def contract(g: Graph, v: int) -> ContractionResult:
     return ContractionResult(graph=contracted, merged_into=merged, new_ids=new_of)
 
 
-def contract_text(text: str, v: int) -> tuple[Graph, Iterator[int]] | None:
+def contract_text(text: str, v: int) -> tuple[list[list[int]], Iterator[int]] | None:
     """Contract v in plain, connected edge-list text without building its graph.
 
-    Returns G/v, whose last id is the merged node, and the surviving old ids in
-    ascending order, whose new ids are 0, 1, ...: what ``contract`` of the
-    parsed text gives.
+    Returns the sorted neighbour lists of G/v, whose last id is the merged
+    node, and the surviving old ids in ascending order, whose new ids are
+    0, 1, ...: the rows of ``contract`` of the parsed text, as lists.
     None when the text is not plain (``graph._plain_text``, before any search)
     or holds a fault, when no edge holds v (v isolated or out of the order), or
     when G is disconnected, so that the parser of record decides.  N(v) comes
     from one search for the lines that hold v.  Then each block of old ids goes
     to the builder less its pairs that touch S = N[v], and every survivor next
     to S is joined once to the merged node, old id top + 1, after the last
-    block.  The builder's node table renumbers each old id once, as it grows
-    over it: u becomes u minus the members of S below it, which sends top + 1
-    to n - |S|.  A self-loop or a duplicate on an edge that touches S would
-    vanish, so a set of those pairs finds it; the builder finds the rest.  G is
-    connected exactly when G/v is, since N[v] is connected.
+    block.  The builder's node table (``graph._rows``) renumbers each old id
+    once, as it grows over it: u becomes u minus the members of S below it,
+    which sends top + 1 to n - |S|.  The rows stay lists: no tuple and no
+    ``Graph`` is made for G/v.  A self-loop or a duplicate on an edge that
+    touches S would vanish, so a set of those pairs finds it; the builder finds
+    the rest.  G is connected exactly when G/v is, since N[v] is connected,
+    which ``is_connected``'s search checks on the rows.
     """
     if (plain := _plain_text(text, connected=True)) is None:
         return None
@@ -139,9 +141,9 @@ def contract_text(text: str, v: int) -> tuple[Graph, Iterator[int]] | None:
 
     # The limit is one past the bound, for the merged node alone: an id at the
     # bound puts the merged node past it, or leaves it out, and declines.
-    g = _from_blocks(blocks(), bound + 1, 1,
-                     renumber=lambda lo, hi: [u - below(u) for u in range(lo, hi)])
-    # g lacks the merged node when S is in no edge with a survivor.
-    if g is None or g.n != top + 2 - len(removed) or not is_connected(g):
+    rows = _rows(blocks(), bound + 1, 1,
+                 renumber=lambda lo, hi: [u - below(u) for u in range(lo, hi)])
+    # rows lack the merged node when S is in no edge with a survivor.
+    if rows is None or len(rows) != top + 2 - len(removed) or not _reaches_all(rows):
         return None
-    return g, filterfalse(removed.__contains__, range(top + 1))
+    return rows, filterfalse(removed.__contains__, range(top + 1))

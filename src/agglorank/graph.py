@@ -6,23 +6,23 @@ fixes the order explicitly, which is the only way to represent nodes that
 appear in no edge.  Canonical output sorts edges by (min id, max id) with the
 smaller id first on each line.
 
-Every graph is built by ``_from_blocks`` through a node table, with one int
-object per node, and a self-loop or a duplicate is found from the built
-adjacency.  Plain text ("u v" lines of ASCII digits and one space, and
-comment lines that start the line and are no order header) parses this way
-in bulk, split one block of lines at a time; it declines ids at or above a
-bound taken from the count of edge lines.  ``_plain_text`` decides once, for
-the whole text, whether it is plain, by matching its first line and searching
-for a newline before a line that is not plain, which holds no state from
-line to line.  The bulk path reads every line break of ``str.splitlines()``
-as "\n" (``_newlines_only``).  Anything else, plain text with a fault, or
-such an id goes line by line through ``_validated``, which gives the same
-graph and is the only code that raises.  ``from_edge_list`` builds the same
-way and names a fault from ``_validated``.  ``contraction.contract_text``
-passes the same plain blocks to ``_from_blocks`` with a renumbering of the
-node table, to build a contracted graph without its input graph.
-``to_edge_list`` joins the blocks of ``_edge_lines``, which the ``contract``
-command writes one at a time.
+Every graph is built through a node table, with one int object per node:
+``_rows`` gives its sorted neighbour lists, in which a self-loop or a
+duplicate is found, and ``_from_blocks`` makes them tuples.  Plain text ("u v"
+lines of ASCII digits and one space, and comment lines that start the line
+and are no order header) parses this way in bulk, split one block of lines at
+a time; it declines ids at or above a bound taken from the count of edge
+lines.  ``_plain_text`` decides once, for the whole text, whether it is plain,
+by matching its first line and searching for a newline before a line that is
+not plain, which holds no state from line to line.  The bulk path reads
+every line break of ``str.splitlines()`` as "\n" (``_newlines_only``).
+Anything else, plain text with a fault, or such an id goes line by line
+through ``_validated``, which gives the same graph and is the only code that
+raises.  ``from_edge_list`` builds the same way and names a fault from
+``_validated``.  ``contraction.contract_text`` passes the same plain blocks
+to ``_rows``, renumbering the node table, to build G/v's lists without its
+input graph.  ``to_edge_list`` joins the blocks of ``_edge_lines``, which the
+``contract`` command writes one at a time from any neighbour lists.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain, compress, count
 from operator import itemgetter, mul, or_, xor
-from typing import Callable, Iterable, Iterator, NoReturn
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .errors import ConnectivityError, DegenerateOrderError, EdgeListError
 
@@ -142,24 +142,35 @@ def _validated(
     return _from_blocks(_edge_blocks(pairs), n, n, simple=True)
 
 
-def _from_blocks(blocks: Iterable[list[int] | None], limit: int, order: int = 0, *,
-                 simple: bool = False,
-                 renumber: Callable[[int, int], Iterable[int]] | None = None) -> Graph | None:
-    """Build through a node table from blocks of flat ids u0, v0, u1, v1, ...
+def _from_blocks(blocks: Iterable[list[int] | None], limit: int, order: int = 0,
+                 **flags) -> Graph | None:
+    """The graph of ``_rows(blocks, limit, order, **flags)``.
 
-    ``node[i] is i``, so the graph holds one int object per node.  The order is
+    Its rows become tuples from the last node down: an allocator effect, with
+    which a 100,000-node parse peaked 1.5 MiB lower in RSS than first-up.
+    """
+    if (rows := _rows(blocks, limit, order, **flags)) is None:
+        return None
+    for v in reversed(range(len(rows))):
+        rows[v] = tuple(rows[v])
+    return Graph(len(rows), tuple(rows))
+
+
+def _rows(blocks: Iterable[list[int] | None], limit: int, order: int = 0, *,
+          simple: bool = False,
+          renumber: Callable[[int, int], Iterable[int]] | None = None) -> list[list[int]] | None:
+    """Sorted neighbour lists through a node table from flat ids u0, v0, u1, ...
+
+    ``node[i] is i``, so the rows hold one int object per node.  The order is
     the larger of ``order`` and 1 + the largest id.  None, without naming the
     fault, as soon as a block is None or holds an id outside [0, limit), when
-    the graph would have no node, or when a self-loop or a duplicate leaves a
+    there would be no node, or when a self-loop or a duplicate leaves a
     repeat in some neighbour list.  ``simple`` says the caller has already
     ruled out every self-loop and duplicate, so the neighbour lists are not
     searched again.
-    ``renumber(lo, hi)``, when given, gives the graph's ids of the block ids
+    ``renumber(lo, hi)``, when given, gives the new ids of the block ids
     lo, ..., hi - 1 as the table grows over them, ascending: ``node[i]`` is
     then i's new id, found once per id of the table, not once per edge end.
-    The rows become tuples from the last node down: an allocator effect, with
-    which the ``contract`` command on a 100,000-node file peaked 1.0 MiB lower
-    in RSS than with the first row first.
     """
     node: list[int] = []
     adj: list[list[int]] = []
@@ -185,12 +196,9 @@ def _from_blocks(blocks: Iterable[list[int] | None], limit: int, order: int = 0,
         return None
     if not simple and sum(map(len, map(set, adj))) != 2 * m:
         return None
-    # Sort each list in place and swap in its tuple, one list at a time.
-    for v in reversed(range(len(adj))):
-        nbrs = adj[v]
+    for nbrs in adj:
         nbrs.sort()
-        adj[v] = tuple(nbrs)
-    return Graph(len(adj), tuple(adj))
+    return adj
 
 
 def from_edge_list(edges: Iterable[tuple[int, int]], n: int | None = None) -> Graph:
@@ -246,7 +254,9 @@ def _plain_text(text: str, connected: bool) -> tuple[str, int] | None:
     stop = len(text) - text.endswith("\n")
     if not _PLAIN_LINE.match(text, 0, stop) or _NOT_PLAIN.search(text, 0, stop):
         return None
-    edge_lines = text.count("\n", 0, stop) + 1 - text.count("\n#") - text.startswith("#")
+    edge_lines = text.count("\n", 0, stop) + 1
+    if "#" in text:
+        edge_lines -= text.count("\n#") + text.startswith("#")
     return text, edge_lines + 1 if connected else 2 * edge_lines
 
 
@@ -324,15 +334,14 @@ def to_edge_list(g: Graph) -> str:
     order, that is when the last node has no neighbor (isolated trailing
     nodes, or an edgeless single-node graph).
     """
-    return "".join(_edge_lines(g))
+    return "".join(_edge_lines(g.adj))
 
 
-def _edge_lines(g: Graph) -> Iterator[str]:
-    # to_edge_list's text, the lines of _WRITE_NODES nodes at a time.
-    adj = g.adj
+def _edge_lines(adj: Sequence[Sequence[int]]) -> Iterator[str]:
+    # to_edge_list's text of neighbour lists adj, _WRITE_NODES nodes at a time.
     if adj and not adj[-1]:
-        yield f"# n={g.n}\n"
-    for lo in range(0, g.n, _WRITE_NODES):
+        yield f"# n={len(adj)}\n"
+    for lo in range(0, len(adj), _WRITE_NODES):
         rows = enumerate(adj[lo:lo + _WRITE_NODES], lo)
         yield "".join([f"{u} {v}\n" for u, nbrs in rows for v in nbrs if v > u])
 
@@ -373,16 +382,20 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 
 def is_connected(g: Graph) -> bool:
     """True iff a BFS from node 0 reaches every node."""
-    seen = bytearray(g.n)
+    return _reaches_all(g.adj)
+
+
+def _reaches_all(adj: Sequence[Sequence[int]]) -> bool:
+    # is_connected's search, over any neighbour lists.
+    seen = bytearray(len(adj))
     seen[0] = 1
     queue = [0]
-    adj = g.adj
     for u in queue:  # the queue grows as it is read
         for w in adj[u]:
             if not seen[w]:
                 seen[w] = 1
                 queue.append(w)
-    return len(queue) == g.n
+    return len(queue) == len(adj)
 
 
 def _disconnected(g: Graph) -> NoReturn:

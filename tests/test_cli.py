@@ -365,6 +365,20 @@ class TestContract:
         assert code == 0
         assert peak < 2 * size, f"contract peak {peak} B for an input graph of {size} B"
 
+    def test_plain_connected_text_is_written_without_a_graph(self, capsys, monkeypatch,
+                                                            tmp_path):
+        # G/v is written from the builder's sorted neighbour lists, so no
+        # Graph is made, and the bytes are those of the parse-then-contract path.
+        text = random_edge_text(2_000, 4_000)
+        g = parse_edge_list(text, connected=True)
+        hub = max(range(g.n), key=lambda v: len(g.adj[v]))
+        source = write(tmp_path, "sparse.edges", text)
+        with mock.patch.object(cli, "contract_text", lambda text, v: None):
+            fallback = run(capsys, "contract", source, "--node", str(hub))
+        assert fallback[0] == 0
+        monkeypatch.setattr(graph, "Graph", _no_graph)
+        assert run(capsys, "contract", source, "--node", str(hub)) == fallback
+
     def test_bad_node_exit_2(self, capsys, tmp_path):
         source = write(tmp_path, "p4.edges", PATH4)
         code, _, err = run(capsys, "contract", source, "--node", "9")
@@ -447,7 +461,7 @@ class TestContractNumbering:
     @pytest.mark.parametrize("node", [0, 1, 4])
     def test_an_id_at_the_bound_declines(self, node):
         text = "0 1\n1 4\n"
-        with mock.patch("agglorank.contraction.is_connected", _no_search):
+        with mock.patch("agglorank.contraction._reaches_all", _no_search):
             assert contract_text(text, node) is None
         assert_contract_as_before(text, node, new_path=False)
         # Run once to stdout and once with --output, each with the same error.
@@ -463,21 +477,27 @@ class TestContractNumbering:
     @pytest.mark.parametrize("text,node", [("0 1\n0 2\n0 3\n", 0), ("3 1\n2 3\n0 3\n", 3),
                                            ("1 0\n", 1), (K4, 3)])
     def test_the_one_node_result(self, text, node):
-        assert contract_text(text, node)[0] == parse_edge_list("# n=1\n")
+        rows, _ = contract_text(text, node)
+        assert tuple(map(tuple, rows)) == parse_edge_list("# n=1\n").adj
         assert_contract_as_before(text, node, new_path=True)
 
     def test_survivors_touch_the_contracted_set_from_below_and_above(self):
         # N[3] = {1, 3, 5}; survivors 0 and 2 lie below parts of it, 4 between
         # and 6 above all of it, and each is joined once to the merged node.
         text = "3 1\n3 5\n0 1\n2 1\n4 5\n6 5\n2 4\n0 6\n2 5\n"
-        g, survivors = contract_text(text, 3)
+        rows, survivors = contract_text(text, 3)
         assert list(survivors) == [0, 2, 4, 6]
-        assert g == from_edge_list([(0, 4), (1, 4), (2, 4), (3, 4), (1, 2), (0, 3)])
+        assert tuple(map(tuple, rows)) \
+            == from_edge_list([(0, 4), (1, 4), (2, 4), (3, 4), (1, 2), (0, 3)]).adj
         assert_contract_as_before(text, 3, new_path=True)
 
 
-def _no_search(g):
+def _no_search(adj):
     raise AssertionError("the connectivity search ran")
+
+
+def _no_graph(*args, **kwargs):
+    raise AssertionError("a Graph was made")
 
 
 class TestConnectivityPrecondition:
