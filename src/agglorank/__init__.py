@@ -19,9 +19,10 @@ _MODULE_OF = {
                      "EdgeListError", "FamilyParameterError", "FormulaDomainError"], "errors"),
     **dict.fromkeys(["CometSpec", "DoubleCometSpec", "FamilySpec", "LabeledGraph",
                      "LollipopSpec", "NodeClass", "PathSpec", "class_of", "generate",
-                     "read_labeled", "scan_class_comments", "write_labeled"], "families"),
+                     "read_labeled", "write_labeled"], "families"),
     **dict.fromkeys(["Graph", "bfs_distances", "degree", "distance_sum", "from_edge_list",
-                     "is_connected", "parse_edge_list", "to_edge_list"], "graph"),
+                     "is_connected", "parse_edge_list", "scan_class_comments",
+                     "to_edge_list"], "graph"),
     **dict.fromkeys(["DEFAULT_GRIDS", "VerifyReport", "VerifyRow", "verify_family"], "verify"),
     "closed_forms": "closed_forms",
 }

@@ -24,36 +24,35 @@ sum, into its slots of one shared anonymous mapping; the parent builds every
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import attrgetter
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 from .contraction import contract
 from .errors import DegenerateOrderError
-from .graph import Graph, _peel, distance_sum
+from .graph import Graph, _frozen, _peel, distance_sum
 
 Rational = Fraction
 
 
-@dataclass(frozen=True)
-class ImcEntry:
+class ImcEntry(NamedTuple):
     """Importance of one node: 1 - phi(G)/phi(G with the node contracted)."""
 
     node: int
     imc: Fraction
     contracted_order: int
+    __setattr__ = __delattr__ = _frozen
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     """Full ranking: graph-level phi and average path length, plus one entry
     per node sorted by importance descending, ties broken by ascending id."""
 
     phi: Fraction
     avg_path_length: Fraction
     entries: tuple[ImcEntry, ...]
+    __setattr__ = __delattr__ = _frozen
 
 
 def phi_and_length(g: Graph) -> tuple[Fraction, Fraction | None]:

@@ -10,21 +10,23 @@ Exit codes: 0 success, 2 usage or parse error, 3 connectivity error,
 
 from __future__ import annotations
 
-# The package's own modules come first: without cached bytecode each one is
-# compiled at start-up, and compiling them before argparse and the rest are
-# resident keeps the start's peak memory down.
+# Each command loads only what it runs.  rank, phi and contract need the
+# engine, the parser and the reports; the family registry (families) is
+# imported only by gen, verify and a parser that builds their family
+# subcommands, and verify's closed forms only by verify.  The package's own
+# modules come first: without cached bytecode each one is compiled at
+# start-up, and compiling them before argparse and the rest are resident
+# keeps the start's peak memory down.
 from .agglomeration import imc_all, phi_and_length, usable_cpus
 from .contraction import contract, contract_text
 from .errors import AggloRankError, ConnectivityError, EdgeListError, FamilyParameterError
-from .families import (FAMILIES, MAX_SIZE, check_class_nodes, generate, scan_class_comments,
-                       write_labeled)
-from .graph import _WRITE_NODES, _edge_lines, bfs_distances, parse_edge_list
+from .graph import (_WRITE_NODES, _edge_lines, bfs_distances, check_class_nodes,
+                    parse_edge_list, scan_class_comments)
 from .reports import FORMATS, render_phi, render_rank, render_verify
 
 import argparse
 import re
 import sys
-from dataclasses import fields
 from itertools import count, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -36,8 +38,16 @@ EXIT_MISMATCH = 4
 
 _RANGE = re.compile(r"([0-9]+)(?:\.\.([0-9]+))?")
 
-# Family subcommands are the registry's names with hyphens.
-_FAMILY_BY_COMMAND = {name.replace("_", "-"): cls for name, cls in FAMILIES.items()}
+
+def _family_commands() -> dict[str, tuple[type, list[str]]]:
+    # Each family subcommand, the registry's name with hyphens: its spec class
+    # and the names of the spec's fields, in order.
+    from dataclasses import fields
+
+    from .families import FAMILIES
+
+    return {name.replace("_", "-"): (cls, [f.name for f in fields(cls)])
+            for name, cls in FAMILIES.items()}
 
 
 def _range_arg(text: str) -> tuple[int, int]:
@@ -72,8 +82,10 @@ def _read_graph(args: argparse.Namespace):
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    cls = _FAMILY_BY_COMMAND[args.family]
-    spec = cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+    from .families import MAX_SIZE, generate, write_labeled
+
+    cls, names = _family_commands()[args.family]
+    spec = cls(**{name: getattr(args, name) for name in names})
     if spec.order + spec.size > MAX_SIZE:
         raise FamilyParameterError(
             f"{spec.label()} would have {spec.order} nodes and {spec.size} edges; "
@@ -133,7 +145,7 @@ def _contraction_blocks(adj: Sequence[Sequence[int]], survivors: Iterable[int]) 
 def cmd_verify(args: argparse.Namespace) -> int:
     from .verify import verify_family  # only verify needs the closed forms
 
-    cls = _FAMILY_BY_COMMAND[args.family]
+    cls, _ = _family_commands()[args.family]
     ranges = {name: getattr(args, name) for name in cls.GRID if getattr(args, name) is not None}
     report = verify_family(cls.NAME, ranges, jobs=args.jobs)
     _emit(args, [render_verify(report, args.format)])
@@ -154,20 +166,24 @@ def _add_jobs(p: argparse.ArgumentParser, default: int) -> None:
                         "the usable CPUs); the output is byte-identical for any value")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  For ``command`` rank, phi or contract, gen and verify
+    get no family subcommands, so the family registry is not loaded; the
+    parser then reads that command, every help text included, as the full one."""
     parser = argparse.ArgumentParser(
         prog="agglorank",
         description="Rank influential nodes by node contraction and network agglomeration.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     cpus = usable_cpus()
+    families = {} if command in ("rank", "phi", "contract") else _family_commands()
 
     gen = sub.add_parser("gen", help="generate a family graph as a labeled edge list")
     gen_sub = gen.add_subparsers(dest="family", required=True)
-    for command, cls in _FAMILY_BY_COMMAND.items():
-        p = gen_sub.add_parser(command)
-        for f in fields(cls):
-            p.add_argument(f"--{f.name}", type=int, required=True)
+    for family, (_, names) in families.items():
+        p = gen_sub.add_parser(family)
+        for name in names:
+            p.add_argument(f"--{name}", type=int, required=True)
         p.set_defaults(func=cmd_gen)
         _add_output(p)
 
@@ -192,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="compare engine values against closed forms")
     ver_sub = ver.add_subparsers(dest="family", required=True)
-    for command, cls in _FAMILY_BY_COMMAND.items():
-        p = ver_sub.add_parser(command)
+    for family, (cls, _) in families.items():
+        p = ver_sub.add_parser(family)
         for name in cls.GRID:
             p.add_argument(f"--{name}", type=_range_arg, help=cls.GRID_HELP.get(name))
         p.set_defaults(func=cmd_verify)
@@ -205,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if getattr(args, "jobs", 1) < 1:
             raise AggloRankError("--jobs must be at least 1")

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import compress, count, filterfalse
 from typing import Iterator
 
 from .errors import DegenerateOrderError
-from .graph import Graph, _check_node, _plain_blocks, _plain_text, _reaches_all, _rows
+from .graph import (Graph, _check_node, _frozen, _plain_blocks, _plain_text, _reaches_all,
+                    _rows, _set)
 
 
-@dataclass(frozen=True)
 class ContractionResult:
     """Outcome of contracting one node.
 
@@ -31,12 +30,30 @@ class ContractionResult:
     of ``graph``, so the map costs one list slot per old node.  ``old_to_new``
     maps each surviving old id to its new id, iterating in ascending old-id
     order; it is built on first read, so a result that is never asked for it
-    holds no dict.
+    holds no dict.  Results are frozen, equal when their fields are, and
+    unhashable, as ``new_ids`` is a list.
     """
 
-    graph: Graph
-    merged_into: int
-    new_ids: list[int]
+    __slots__ = ("graph", "merged_into", "new_ids", "__dict__")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, graph: Graph, merged_into: int, new_ids: list[int]) -> None:
+        _set(self, "graph", graph)
+        _set(self, "merged_into", merged_into)
+        _set(self, "new_ids", new_ids)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.graph, self.merged_into, self.new_ids)
+                == (other.graph, other.merged_into, other.new_ids))
+
+    def __reduce__(self):
+        return ContractionResult, (self.graph, self.merged_into, self.new_ids)
+
+    def __repr__(self) -> str:
+        return (f"ContractionResult(graph={self.graph!r}, merged_into={self.merged_into!r}, "
+                f"new_ids={self.new_ids!r})")
 
     @cached_property
     def old_to_new(self) -> dict[int, int]:

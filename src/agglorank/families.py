@@ -24,6 +24,9 @@ and figures line up, and is a stability guarantee:
 
 Labeled graphs serialize with "# family ..." and "# class <id> <label>"
 comment lines on top of the plain edge-list format, and round-trip exactly.
+The "# class" scan (``scan_class_comments``, ``check_class_nodes``) lives in
+``graph``, so that ``rank`` reads those lines without this module, and is
+imported back here under the same names.
 """
 
 from __future__ import annotations
@@ -31,11 +34,12 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, fields
-from typing import ClassVar, Iterator
+from typing import ClassVar
 
 from .errors import EdgeListError, FamilyParameterError
-from .graph import (_WRITE_NODES, Graph, _check_node, _newlines_only, from_edge_list,
-                    parse_edge_list, to_edge_list)
+from .graph import (_CLASS_LINE, _WRITE_NODES, Graph, _check_node, _matching_lines,
+                    check_class_nodes, from_edge_list, parse_edge_list, scan_class_comments,
+                    to_edge_list)
 
 
 class NodeClass(enum.Enum):
@@ -348,29 +352,10 @@ def class_of(lg: LabeledGraph, v: int) -> NodeClass:
     return lg.classes[v]
 
 
-# Whole "# family" and "# class" lines, found in the text itself: "\n" ends a
-# line (``_matching_lines`` writes other line breaks as "\n" first), and
-# whitespace around and between fields is any but "\n", as str.strip() sees it.
+# A whole "# family" line, found as graph._CLASS_LINE finds a "# class" line.
 _FAMILY_LINE = re.compile(
     r"^[^\S\n]*#[^\S\n]*family[^\S\n]+(\w+)((?:[^\S\n]+[a-z]+=[0-9]+)+)[^\S\n]*$", re.MULTILINE)
-_CLASS_LINE = re.compile(
-    r"^[^\S\n]*#[^\S\n]*class[^\S\n]+([0-9]+)[^\S\n]+(\S+)[^\S\n]*$", re.MULTILINE)
 _FIELD = re.compile(r"([a-z]+)=([0-9]+)")
-
-
-def _matching_lines(pattern: re.Pattern, text: str) -> Iterator[tuple[int, re.Match]]:
-    """(line number, match) of each line of text that pattern matches whole.
-
-    Lines are numbered as ``str.splitlines()`` cuts them.  The text, its line
-    breaks written as "\n", is searched as a whole, with each line number
-    counted from the newlines since the last match.
-    """
-    text = _newlines_only(text)
-    line_no, pos = 1, 0
-    for m in pattern.finditer(text):
-        line_no += text.count("\n", pos, m.start())
-        pos = m.start()
-        yield line_no, m
 
 
 def _spec_from_fields(name: str, text: str) -> FamilySpec:
@@ -402,29 +387,6 @@ def write_labeled(lg: LabeledGraph) -> str:
         blocks.append("".join([f"# class {v} {c.value}\n" for v, c in rows]))
     blocks.append(to_edge_list(lg.graph))
     return "".join(blocks)
-
-
-def scan_class_comments(text: str) -> dict[int, str]:
-    """Collect "# class <id> <label>" lines; labels are kept as raw strings.
-
-    The lines are found by one search of the text, its line breaks written as
-    "\n" (``_matching_lines``); a second line for one node is an error at its
-    line.
-    """
-    classes: dict[int, str] = {}
-    for line_no, m in _matching_lines(_CLASS_LINE, text):
-        v = int(m.group(1))
-        if v in classes:
-            raise EdgeListError(f"repeated class comment for node {v}", line=line_no)
-        classes[v] = m.group(2)
-    return classes
-
-
-def check_class_nodes(classes: dict[int, str], order: int) -> None:
-    """Refuse a class comment for a node that a graph of this order lacks."""
-    for v in classes:
-        if v >= order:
-            raise EdgeListError(f"class comment for unknown node {v}")
 
 
 def read_labeled(text: str) -> LabeledGraph:

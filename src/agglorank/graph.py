@@ -23,13 +23,18 @@ raises.  ``from_edge_list`` builds the same way and names a fault from
 to ``_rows``, renumbering the node table, to build G/v's lists without its
 input graph.  ``to_edge_list`` joins the blocks of ``_edge_lines``, which the
 ``contract`` command writes one at a time from any neighbour lists.
+
+The "# class <id> <label>" lines of labeled text are found here too
+(``scan_class_comments``), by one search of the text, so ``rank`` reads
+them without the family registry, which imports the scan back.  ``Graph`` is
+frozen by ``_frozen``, as are the result records of the engine, without
+importing ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain, compress, count
 from operator import itemgetter, mul, or_, xor
@@ -50,6 +55,11 @@ _PLAIN_LINE = re.compile(r"(?:[0-9]+ [0-9]+|#(?!\s*n\s*=)[^\n]*)(?:\n|\Z)")
 # state per line, as one pattern matched over the whole text would.
 _NOT_PLAIN = re.compile(rf"\n(?!{_PLAIN_LINE.pattern})")
 _COMMENT_LINE = re.compile(r"^#.*\n?", re.MULTILINE)
+# A whole "# class <id> <label>" line, found in the text itself: "\n" ends a
+# line (``_matching_lines`` writes other line breaks as "\n" first), and
+# whitespace around and between fields is any but "\n", as str.strip() sees it.
+_CLASS_LINE = re.compile(
+    r"^[^\S\n]*#[^\S\n]*class[^\S\n]+([0-9]+)[^\S\n]+(\S+)[^\S\n]*$", re.MULTILINE)
 # Plain text is split in blocks of about this many characters, each ending at
 # a newline, so the split holds one block at a time.
 # The split's strings take 10-14 bytes per character of "u v" lines; 4 KiB
@@ -61,7 +71,17 @@ _BLOCK_EDGES = 1 << 12
 _WRITE_NODES = 4096
 
 
-@dataclass(frozen=True, slots=True)
+def _frozen(self, name: str, *value) -> NoReturn:
+    # __setattr__ and __delattr__ of a frozen value class, raising as a frozen
+    # dataclass does; dataclasses is loaded only when one is called.
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+_set = object.__setattr__
+
+
 class Graph:
     """Immutable simple undirected graph on node ids 0..n-1.
 
@@ -71,8 +91,23 @@ class Graph:
     freely between threads.
     """
 
-    n: int
-    adj: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "adj")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]) -> None:
+        _set(self, "n", n)
+        _set(self, "adj", adj)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.adj == other.adj
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.adj))
+
+    def __reduce__(self):
+        return Graph, (self.n, self.adj)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in canonical order."""
@@ -143,13 +178,13 @@ def _validated(
 
 
 def _from_blocks(blocks: Iterable[list[int] | None], limit: int, order: int = 0,
-                 **flags) -> Graph | None:
-    """The graph of ``_rows(blocks, limit, order, **flags)``.
+                 simple: bool = False) -> Graph | None:
+    """The graph of ``_rows(blocks, limit, order, simple=simple)``.
 
     Its rows become tuples from the last node down: an allocator effect, with
     which a 100,000-node parse peaked 1.5 MiB lower in RSS than first-up.
     """
-    if (rows := _rows(blocks, limit, order, **flags)) is None:
+    if (rows := _rows(blocks, limit, order, simple=simple)) is None:
         return None
     for v in reversed(range(len(rows))):
         rows[v] = tuple(rows[v])
@@ -269,6 +304,44 @@ def _newlines_only(text: str) -> str:
         text = text.replace("\r\n", "\n").translate(dict.fromkeys(map(ord, _LINE_BREAKS), "\n"))
         return text[:-1] if text.endswith("\n") else text
     return text
+
+
+def _matching_lines(pattern: re.Pattern, text: str) -> Iterator[tuple[int, re.Match]]:
+    """(line number, match) of each line of text that pattern matches whole.
+
+    Lines are numbered as ``str.splitlines()`` cuts them.  The text, its line
+    breaks written as "\n", is searched as a whole, with each line number
+    counted from the newlines since the last match.
+    """
+    text = _newlines_only(text)
+    line_no, pos = 1, 0
+    for m in pattern.finditer(text):
+        line_no += text.count("\n", pos, m.start())
+        pos = m.start()
+        yield line_no, m
+
+
+def scan_class_comments(text: str) -> dict[int, str]:
+    """Collect "# class <id> <label>" lines; labels are kept as raw strings.
+
+    The lines are found by one search of the text, its line breaks written as
+    "\n" (``_matching_lines``); a second line for one node is an error at its
+    line.
+    """
+    classes: dict[int, str] = {}
+    for line_no, m in _matching_lines(_CLASS_LINE, text):
+        v = int(m.group(1))
+        if v in classes:
+            raise EdgeListError(f"repeated class comment for node {v}", line=line_no)
+        classes[v] = m.group(2)
+    return classes
+
+
+def check_class_nodes(classes: dict[int, str], order: int) -> None:
+    """Refuse a class comment for a node that a graph of this order lacks."""
+    for v in classes:
+        if v >= order:
+            raise EdgeListError(f"class comment for unknown node {v}")
 
 
 def _plain_blocks(text: str) -> Iterator[list[int] | None]:

@@ -1,5 +1,7 @@
 """Engine values: average path length, agglomeration, importance, ranking."""
 
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,6 +9,8 @@ import pytest
 
 from agglorank import agglomeration
 from agglorank.agglomeration import (
+    ImcEntry,
+    RankReport,
     Rational,
     average_path_length,
     imc,
@@ -216,3 +220,42 @@ def test_single_node_ranking_and_importance_are_degenerate():
         imc_all(g)
     with pytest.raises(DegenerateOrderError, match="importance requires at least two nodes"):
         imc(g, 0)
+
+
+class TestValueClasses:
+    """ImcEntry and RankReport behave as the frozen dataclasses they replace."""
+
+    def test_imc_entry_by_position_and_keyword(self):
+        entry = ImcEntry(0, Fraction(1, 2), 1)
+        same = ImcEntry(node=0, imc=Fraction(1, 2), contracted_order=1)
+        assert entry == same and entry is not same
+        assert hash(entry) == hash(same) and len({entry, same}) == 1
+        assert entry != ImcEntry(1, Fraction(1, 2), 1)
+        assert (entry.node, entry.imc, entry.contracted_order) == (0, Fraction(1, 2), 1)
+        assert repr(entry) == "ImcEntry(node=0, imc=Fraction(1, 2), contracted_order=1)"
+        assert pickle.loads(pickle.dumps(entry)) == entry
+
+    def test_rank_report_by_position_and_keyword(self):
+        entries = (ImcEntry(0, Fraction(1, 2), 1), ImcEntry(1, Fraction(1, 2), 1))
+        report = RankReport(Fraction(1, 2), Fraction(1), entries)
+        same = RankReport(phi=Fraction(1, 2), avg_path_length=Fraction(1), entries=entries)
+        assert report == same == imc_all(path(2))
+        assert hash(report) == hash(same) and pickle.loads(pickle.dumps(report)) == report
+        assert report != RankReport(Fraction(1, 2), Fraction(1), entries[:1])
+        assert repr(report) == (
+            "RankReport(phi=Fraction(1, 2), avg_path_length=Fraction(1, 1), entries=("
+            "ImcEntry(node=0, imc=Fraction(1, 2), contracted_order=1), "
+            "ImcEntry(node=1, imc=Fraction(1, 2), contracted_order=1)))")
+
+    @pytest.mark.parametrize("value, name", [
+        (ImcEntry(0, Fraction(1, 2), 1), "imc"),
+        (ImcEntry(0, Fraction(1, 2), 1), "other"),
+        (RankReport(Fraction(1), None, ()), "entries"),
+    ])
+    def test_fields_cannot_be_assigned_or_deleted(self, value, name):
+        before = repr(value)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"assign to field '{name}'"):
+            setattr(value, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"delete field '{name}'"):
+            delattr(value, name)
+        assert repr(value) == before

@@ -689,16 +689,82 @@ class TestStartup:
     """A command imports only the modules it runs; the package loads each
     public name on first use."""
 
-    def test_rank_loads_neither_verify_nor_the_closed_forms(self, tmp_path):
-        source = write(tmp_path, "p2.edges", "0 1\n")
+    @staticmethod
+    def loaded_by(argv):
+        # The modules a fresh interpreter holds after main(argv) returns 0.
         probe = ("import sys\nfrom agglorank.cli import main\n"
-                 f"assert main(['rank', {source!r}, '--jobs', '1']) == 0\n"
-                 "print(' '.join(sorted(m for m in sys.modules if m.startswith('agglorank'))))")
+                 f"assert main({argv!r}) == 0\n"
+                 "print(' '.join(sorted(sys.modules)))")
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               env=child_env(), check=True)
-        loaded = done.stdout.splitlines()[-1].split()
+        return done.stdout.splitlines()[-1].split()
+
+    @pytest.fixture(scope="class")
+    def bare(self):
+        # The modules a bare interpreter of this environment loads at start-up.
+        done = subprocess.run([sys.executable, "-c", "import sys; print(' '.join(sys.modules))"],
+                              capture_output=True, text=True, env=child_env(), check=True)
+        return done.stdout.split()
+
+    @pytest.mark.parametrize("command", ["rank", "rank labeled json", "phi", "contract"])
+    def test_an_edge_list_command_loads_no_family_code(self, tmp_path, bare, command):
+        plain = write(tmp_path, "p4.edges", PATH4)
+        labeled = write(tmp_path, "p4.labeled", write_labeled(generate(PathSpec(4))))
+        argv = {"rank": ["rank", plain, "--jobs", "1"],
+                "rank labeled json": ["rank", labeled, "--format", "json", "--jobs", "1"],
+                "phi": ["phi", plain],
+                "contract": ["contract", plain, "--node", "1"]}[command]
+        loaded = self.loaded_by(argv)
         assert "agglorank.cli" in loaded
-        assert "agglorank.verify" not in loaded and "agglorank.closed_forms" not in loaded
+        for module in ("agglorank.families", "agglorank.verify", "agglorank.closed_forms"):
+            assert module not in loaded
+        if "dataclasses" not in bare:
+            assert "dataclasses" not in loaded
+
+    def test_gen_and_verify_load_the_family_registry(self, tmp_path):
+        out = str(tmp_path / "out.txt")
+        assert "agglorank.families" in self.loaded_by(["gen", "path", "--n", "3", "--output", out])
+        assert "agglorank.families" in self.loaded_by(
+            ["verify", "path", "--n", "4", "--jobs", "1", "--output", out])
+
+    def test_the_class_scan_is_one_function_under_every_name(self):
+        import agglorank
+        from agglorank import families
+
+        assert agglorank.scan_class_comments is graph.scan_class_comments
+        assert families.scan_class_comments is graph.scan_class_comments
+
+    @pytest.mark.parametrize("command", ["rank", "phi", "contract"])
+    def test_a_parser_for_one_edge_list_command_helps_as_the_full_one(self, monkeypatch,
+                                                                       command):
+        monkeypatch.setenv("COLUMNS", "200")
+
+        def help_text(parser, *argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as info:
+                parser.parse_args([*argv, "--help"])
+            assert info.value.code == 0
+            return out.getvalue()
+
+        full, lean = cli.build_parser(), cli.build_parser(command)
+        assert help_text(lean) == help_text(full)
+        assert help_text(lean, command) == help_text(full, command)
+
+    @pytest.mark.parametrize("argv, usage, error", [
+        (["gen"], "agglorank gen [-h] {path,comet,double-comet,lollipop} ...",
+         "agglorank gen: error: the following arguments are required: family"),
+        (["verify"], "agglorank verify [-h] {path,comet,double-comet,lollipop} ...",
+         "agglorank verify: error: the following arguments are required: family"),
+        ([], "agglorank [-h] {gen,rank,phi,contract,verify} ...",
+         "agglorank: error: the following arguments are required: command"),
+    ])
+    def test_a_missing_subcommand_is_a_usage_error(self, capsys, monkeypatch, argv, usage,
+                                                   error):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr() == ("", f"usage: {usage}\n{error}\n")
 
     def test_every_public_name_resolves_and_is_listed(self):
         import agglorank

@@ -1,12 +1,14 @@
 """Node contraction semantics and family-closure structure checks."""
 
+import dataclasses
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agglorank.contraction import contract
+from agglorank.contraction import ContractionResult, contract
 from agglorank.errors import DegenerateOrderError
 from agglorank.families import (
     CometSpec,
@@ -116,6 +118,30 @@ def test_old_to_new_is_built_on_first_read_and_leaves_equality_alone():
     assert result.old_to_new is result.old_to_new == {4: 0, 5: 1}
     assert result == again and "old_to_new" not in vars(again)
     assert result != contract(g, 0)
+
+
+
+def test_result_is_a_frozen_value_built_by_position_or_keyword():
+    g = from_edge_list([(0, 1), (1, 2)])
+    result = contract(g, 0)
+    merged = from_edge_list([(0, 1)])
+    assert result == ContractionResult(merged, 1, [1, 1, 0])
+    assert result == ContractionResult(graph=merged, merged_into=1, new_ids=[1, 1, 0])
+    assert result != ContractionResult(merged, 1, [1, 0, 1])
+    assert repr(result) == ("ContractionResult(graph=Graph(n=2, edges=[(0, 1)]), "
+                            "merged_into=1, new_ids=[1, 1, 0])")
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(result)  # new_ids is a list
+    for name in ("graph", "merged_into", "new_ids", "old_to_new"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"assign to field '{name}'"):
+            setattr(result, name, None)
+    for value, name in ((result, "new_ids"), (g, "adj")):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"delete field '{name}'"):
+            delattr(value, name)
+    assert result.new_ids == [1, 1, 0] and g.adj == ((1,), (0, 2), (1,))
+    assert result.old_to_new == {2: 0}
+    for value in (g, result):
+        assert pickle.loads(pickle.dumps(value)) == value
 
 
 def relabeled(rng, g):
