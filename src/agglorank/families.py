@@ -23,7 +23,8 @@ and figures line up, and is a stability guarantee:
   the junction), ids d..n-1 form the clique.
 
 Labeled graphs serialize with "# family ..." and "# class <id> <label>"
-comment lines on top of the plain edge-list format, and round-trip exactly.
+comment lines on top of the plain edge-list format, and round-trip exactly:
+``read_labeled`` accepts only ``generate`` of the family line's spec.
 The "# class" scan (``scan_class_comments``, ``check_class_nodes``) lives in
 ``graph``, so that ``rank`` reads those lines without this module, and is
 imported back here under the same names.
@@ -37,7 +38,7 @@ from dataclasses import dataclass, fields
 from typing import ClassVar
 
 from .errors import EdgeListError, FamilyParameterError
-from .graph import (_CLASS_LINE, _WRITE_NODES, Graph, _check_node, _matching_lines,
+from .graph import (_CLASS_LINE, _WRITE_NODES, Graph, _check_node, _int_field, _matching_lines,
                     check_class_nodes, from_edge_list, parse_edge_list, scan_class_comments,
                     to_edge_list)
 
@@ -61,8 +62,6 @@ class NodeClass(enum.Enum):
     LP_JUNCTION = "lp_junction"
     LP_CLIQUE = "lp_clique"
 
-
-_CLASS_BY_LABEL = {c.value: c for c in NodeClass}
 
 # Nodes plus edges of the largest graph, or grid of graphs, that gen and
 # verify build, counted from the specs before anything is allocated; a graph
@@ -367,7 +366,7 @@ def _spec_from_fields(name: str, text: str) -> FamilySpec:
     for key, value in _FIELD.findall(text):
         if key in values:
             raise EdgeListError(f"family {name} repeats parameter {key!r}")
-        values[key] = int(value)
+        values[key] = _int_field(value, f"family {name} parameter {key!r}")
     try:
         spec = {f.name: values.pop(f.name) for f in fields(cls)}
     except KeyError as missing:
@@ -392,8 +391,8 @@ def write_labeled(lg: LabeledGraph) -> str:
 def read_labeled(text: str) -> LabeledGraph:
     """Parse a labeled edge list written by write_labeled.
 
-    Requires a family line and a class line for every node; class
-    multiplicities must match what the spec generates.
+    Requires one family line, then the edges and node classes of ``generate``
+    of its spec, in the family's own numbering; the first difference is named.
     """
     spec: FamilySpec | None = None
     for line_no, m in _matching_lines(_FAMILY_LINE, text):
@@ -402,20 +401,20 @@ def read_labeled(text: str) -> LabeledGraph:
         spec = _spec_from_fields(m.group(1), m.group(2))
     if spec is None:
         raise EdgeListError("missing '# family' line")
-    g = parse_edge_list(text)
+    g = parse_edge_list(text, connected=True)
     if g.n != spec.order:
         raise EdgeListError(f"graph order {g.n} does not match family order {spec.order}")
+    lg = generate(spec)
+    if g != lg.graph:
+        u, v = min(set(g.edges()).symmetric_difference(lg.graph.edges()))
+        raise EdgeListError(f"edge {u} {v} is not an edge of {spec.label()}" if v in g.adj[u]
+                            else f"edge {u} {v} of {spec.label()} is missing")
     raw_classes = scan_class_comments(text)
     check_class_nodes(raw_classes, g.n)
-    classes = []
-    for v in range(g.n):
+    for v, node_class in enumerate(lg.classes):
         if v not in raw_classes:
             raise EdgeListError(f"missing class comment for node {v}")
-        label = raw_classes[v]
-        if label not in _CLASS_BY_LABEL:
-            raise EdgeListError(f"unknown node class {label!r}")
-        classes.append(_CLASS_BY_LABEL[label])
-    expected = sorted(c.value for c in spec.build()[1])
-    if sorted(c.value for c in classes) != expected:
-        raise EdgeListError("class multiplicities do not match the family spec")
-    return LabeledGraph(graph=g, classes=tuple(classes), spec=spec)
+        if raw_classes[v] != node_class.value:
+            raise EdgeListError(f"node {v} has class {raw_classes[v]!r}; "
+                                f"{spec.label()} gives it {node_class.value!r}")
+    return lg

@@ -330,7 +330,7 @@ def scan_class_comments(text: str) -> dict[int, str]:
     """
     classes: dict[int, str] = {}
     for line_no, m in _matching_lines(_CLASS_LINE, text):
-        v = int(m.group(1))
+        v = _int_field(m.group(1), "class comment node id", line_no)
         if v in classes:
             raise EdgeListError(f"repeated class comment for node {v}", line=line_no)
         classes[v] = m.group(2)
@@ -361,6 +361,15 @@ def _plain_blocks(text: str) -> Iterator[list[int] | None]:
         start = end
 
 
+def _int_field(digits: str, what: str, line: int | None = None) -> int:
+    # int(digits), or an EdgeListError at line, not quoting the field, for
+    # one longer than int() reads (sys.get_int_max_str_digits()).
+    try:
+        return int(digits)
+    except ValueError:
+        raise EdgeListError(f"{what} of {len(digits)} digits is too long", line=line) from None
+
+
 def _node_id(token: str) -> int:
     if not _NODE_ID.fullmatch(token):
         raise ValueError(token)
@@ -383,7 +392,7 @@ def _parse_lines(text: str, connected: bool) -> Graph:
                 if m:
                     if declared_n is not None:
                         raise EdgeListError("second '# n=' header", line=line_no)
-                    declared_n = int(m.group(1))
+                    declared_n = _int_field(m.group(1), "declared order", line_no)
                     if declared_n < 1:
                         raise EdgeListError("declared order must be at least 1", line=line_no)
                 continue

@@ -90,14 +90,15 @@ def grid_specs(family: str, ranges: dict[str, tuple[int, int]]) -> list[FamilySp
     refused as soon as the running sum passes the limit.
     """
     cls = FAMILIES[family]
-    spans = [range(ranges[name][0], ranges[name][1] + 1) for name in cls.GRID]
+    bounds = [ranges[name] for name in cls.GRID]
     # Each graph has a node, so the number of points bounds the sum from below
-    # and a huge range is refused before product() lists it.
-    size = math.prod(map(len, spans))
+    # and a huge range is refused before product() lists it.  A range is
+    # counted as hi - lo + 1: len() of a range refuses one over sys.maxsize.
+    size = math.prod(hi - lo + 1 for lo, hi in bounds)
     specs = []
     if size <= MAX_SIZE:
         size = 0
-        for point in product(*spans):
+        for point in product(*(range(lo, hi + 1) for lo, hi in bounds)):
             spec = cls.from_grid(**dict(zip(cls.GRID, point)))
             size += spec.order + spec.size
             if size > MAX_SIZE:

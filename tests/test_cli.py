@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agglorank import agglomeration, cli, graph
+from agglorank import agglomeration, cli, graph, verify
 from agglorank.cli import _range_arg, main
 from agglorank.contraction import contract, contract_text
+from agglorank.errors import EdgeListError
 from agglorank.families import (FAMILIES, MAX_SIZE, LollipopSpec, NodeClass, PathSpec, generate,
                                  read_labeled, write_labeled)
 from agglorank.graph import from_edge_list, parse_edge_list, to_edge_list
@@ -34,6 +35,10 @@ PATH4 = "0 1\n1 2\n2 3\n"
 K4 = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 DISCONNECTED = "0 1\n2 3\n"
 TWO_TRIANGLES = "0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n"
+# A field one digit longer than int() reads; with no limit, such cases skip.
+_LONG = "9" * (sys.get_int_max_str_digits() + 1)
+_ANY_LENGTH = pytest.mark.skipif(sys.get_int_max_str_digits() == 0,
+                                 reason="int() reads any length")
 
 
 def run(capsys, *argv):
@@ -395,6 +400,17 @@ class TestContract:
         assert (code, out) == (2, "")
         assert err.startswith("error: line 2: non-integer node id in '1 999")
 
+    @_ANY_LENGTH
+    def test_an_id_too_long_for_int_away_from_v_exits_as_the_line_parser(self, capsys, tmp_path):
+        # The lines that hold v read, but the block with the long id does not,
+        # so contract_text declines and the line parser names the line.
+        text = f"0 1\n1 2\n2 {_LONG}\n"
+        assert contract_text(text, 0) is None
+        with pytest.raises(EdgeListError) as info:
+            parse_edge_list(text, connected=True)
+        source = write(tmp_path, "long.edges", text)
+        assert run(capsys, "contract", source, "--node", "0") == (2, "", f"error: {info.value}\n")
+
     def test_disconnected_exit_3(self, capsys, tmp_path):
         source = write(tmp_path, "dis.edges", DISCONNECTED)
         code, _, _ = run(capsys, "contract", source, "--node", "0")
@@ -591,6 +607,37 @@ class TestEncoding:
         assert target.read_bytes() == expected
 
 
+# Hostile inputs: (bytes, the commands that read the fault, exit code).  phi
+# and contract do not read "# class" lines, and rank reads them only once the
+# graph has parsed, so the long class id is rank's alone.
+_HOSTILE = {
+    "long order header": (f"# n={_LONG}\n0 1\n".encode(), ("rank", "phi", "contract"), 2),
+    "long class id": (f"# class {_LONG} x\n0 1\n".encode(), ("rank",), 2),
+    "long node id": (f"0 1\n1 {_LONG}\n".encode(), ("rank", "phi", "contract"), 2),
+    "lone huge order header": (b"# n=1000000000000\n", ("rank", "phi", "contract"), 3),
+    "labeled text under a huge order header": (
+        (write_labeled(generate(PathSpec(4))) + "# n=1000000\n").encode(),
+        ("rank", "phi", "contract"), 3),
+    "non-UTF-8 bytes": (b"0 1\n\xff 2\n", ("rank", "phi", "contract"), 2),
+    "empty file": (b"", ("rank", "phi", "contract"), 2),
+    "self-loop": (b"0 1\n1 1\n", ("rank", "phi", "contract"), 2),
+    "tab-separated duplicate": (b"0\t1\n1\t0\n", ("rank", "phi", "contract"), 2),
+}
+
+
+@pytest.mark.parametrize("case, command", [
+    pytest.param(case, command, marks=[_ANY_LENGTH] if case.startswith("long ") else [])
+    for case, (_, commands, _) in _HOSTILE.items() for command in commands])
+def test_hostile_input_exits_with_one_error_line(capsys, tmp_path, case, command):
+    data, _, expected = _HOSTILE[case]
+    source = tmp_path / "hostile.edges"
+    source.write_bytes(data)
+    code, out, err = run(capsys, command, str(source),
+                         *TestConnectivityPrecondition.ARGS[command])
+    assert (code, out) == (expected, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 class TestVerify:
     def test_path_ok(self, capsys):
         code, out, _ = run(capsys, "verify", "path", "--n", "4..10")
@@ -646,6 +693,8 @@ class TestVerify:
         ("path", "--n", "1000001"),  # one over: n + (n - 1)
         ("lollipop", "--d", "4", "--nd", "2000"),  # one graph of about 2 M edges
         ("comet", "--s", "3..2000", "--t", "4..2000"),  # more points than the limit
+        ("path", "--n", "4..99999999999999999999"),  # more points than sys.maxsize
+        ("comet", "--s", "3..4", "--t", "4..99999999999999999999"),
     ])
     def test_oversized_grid_exits_2_before_building(self, capsys, no_build, argv):
         code, out, err = run(capsys, "verify", *argv)
@@ -660,6 +709,22 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "path", "--n", "4..4")
         assert (code, err) == (4, "")
         assert "violation: P(4): expected imc(path_end) > imc(path_inner)\n" in out
+        assert out.endswith("summary total=3 mismatches=1\n")
+
+    def test_an_imc_that_differs_within_a_class_exits_4(self, capsys, monkeypatch):
+        rank = verify.rank_graphs
+
+        def skewed(graphs, *, jobs):
+            # Node 3 of P(4), a path end as node 0 is, gets another imc.
+            reports = rank(graphs, jobs=jobs)
+            entries = tuple(entry._replace(imc=entry.imc + 1) if entry.node == 3 else entry
+                            for entry in reports[0].entries)
+            return [reports[0]._replace(entries=entries), *reports[1:]]
+
+        monkeypatch.setattr(verify, "rank_graphs", skewed)
+        code, out, err = run(capsys, "verify", "path", "--n", "4..4")
+        assert (code, err) == (4, "")
+        assert "violation: P(4): engine imc differs between nodes of class path_end\n" in out
         assert out.endswith("summary total=3 mismatches=1\n")
 
     def test_bad_jobs(self, capsys):

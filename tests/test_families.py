@@ -1,6 +1,8 @@
 """Family generators: numbering, roles, degrees, identities, serialization."""
 
 import re
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from agglorank import closed_forms, families, graph
 from agglorank.agglomeration import phi
-from agglorank.errors import EdgeListError, FamilyParameterError
+from agglorank.errors import ConnectivityError, EdgeListError, FamilyParameterError
 from agglorank.families import (
     FAMILIES,
     CometSpec,
@@ -186,7 +188,8 @@ class TestLabeledSerialization:
             "# family path n=2\n"
             "# class 0 path_end\n# class 1 path_inner\n0 1\n"
         )
-        with pytest.raises(EdgeListError, match="multiplicities"):
+        with pytest.raises(EdgeListError,
+                           match="^node 1 has class 'path_inner'; P\\(2\\) gives it 'path_end'$"):
             read_labeled(bad)
 
     @pytest.mark.parametrize("params, message", [
@@ -202,11 +205,49 @@ class TestLabeledSerialization:
         ("# family path n=4", "# family cycle n=4", "unknown family 'cycle'"),
         ("# family path n=4", "# family comet s=3", "family comet is missing parameter 't'"),
         ("# family path n=4", "# family path n=5", "graph order 4 does not match family order 5"),
-        ("# class 0 path_end", "# class 0 hub", "unknown node class 'hub'"),
+        ("# class 0 path_end", "# class 0 hub", "node 0 has class 'hub'; P(4) gives it 'path_end'"),
+        ("\n1 2\n", "\n0 2\n", "edge 0 2 is not an edge of P(4)"),
+        ("\n0 1\n", "\n0 2\n", "edge 0 1 of P(4) is missing"),
+        ("# class 0 path_end\n# class 1 path_inner", "# class 0 path_inner\n# class 1 path_end",
+         "node 0 has class 'path_inner'; P(4) gives it 'path_end'"),
     ])
     def test_read_labeled_names_what_is_wrong(self, line, replacement, message):
         text = write_labeled(generate(PathSpec(4))).replace(line, replacement, 1)
         with pytest.raises(EdgeListError, match=f"^{re.escape(message)}$"):
+            read_labeled(text)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda text: text.replace("\n1 2\n", "\n"),
+         "2 edges cannot connect 4 nodes (ids not dense?): a node is unreachable"),
+        (lambda text: text + "# n=1000000\n",
+         "3 edges cannot connect 1000000 nodes (ids not dense?): a node is unreachable"),
+    ], ids=["edge dropped", "order header"])
+    def test_read_labeled_refuses_a_disconnected_text_before_building(self, monkeypatch,
+                                                                      edit, message):
+        text = edit(write_labeled(generate(PathSpec(4))))
+        monkeypatch.setattr(PathSpec, "build", lambda spec: pytest.fail("the spec was built"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConnectivityError, match=f"^{re.escape(message)}$"):
+                read_labeled(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_read_labeled_checks_the_order_before_building(self, monkeypatch):
+        text = write_labeled(generate(PathSpec(4))).replace("n=4", "n=1000000000000", 1)
+        monkeypatch.setattr(PathSpec, "build", lambda spec: pytest.fail("the spec was built"))
+        with pytest.raises(EdgeListError,
+                           match="^graph order 4 does not match family order 1000000000000$"):
+            read_labeled(text)
+
+    @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int() reads any length")
+    def test_read_labeled_refuses_a_parameter_too_long_for_int(self):
+        digits = sys.get_int_max_str_digits() + 1
+        text = write_labeled(generate(PathSpec(4))).replace("n=4", f"n={'9' * digits}", 1)
+        with pytest.raises(EdgeListError,
+                           match=f"^family path parameter 'n' of {digits} digits is too long$"):
             read_labeled(text)
 
     def test_read_labeled_refuses_a_class_for_a_node_the_graph_lacks(self):

@@ -412,6 +412,25 @@ def test_an_order_header_needs_ascii_digits():
     assert parse_edge_list("# n=3\n0 1\n").n == 3
 
 
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int() reads any length")
+@pytest.mark.parametrize("connected", [False, True])
+def test_an_order_header_too_long_for_int_is_named_at_its_line(connected):
+    digits = sys.get_int_max_str_digits() + 1
+    with pytest.raises(EdgeListError) as info:
+        parse_edge_list(f"0 1\n# n={'9' * digits}\n", connected=connected)
+    assert str(info.value) == f"line 2: declared order of {digits} digits is too long"
+    assert info.value.line == 2
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int() reads any length")
+def test_a_class_id_too_long_for_int_is_named_at_its_line():
+    digits = sys.get_int_max_str_digits() + 1
+    with pytest.raises(EdgeListError) as info:
+        graph.scan_class_comments(f"0 1\n# class 0 x\n# class {'9' * digits} x\n")
+    assert str(info.value) == f"line 3: class comment node id of {digits} digits is too long"
+    assert info.value.line == 3
+
+
 @st.composite
 def connected_graphs(draw, min_n=2, max_n=8):
     n = draw(st.integers(min_n, max_n))
