@@ -29,7 +29,7 @@ import re
 import sys
 from itertools import count, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -125,21 +125,22 @@ def cmd_contract(args: argparse.Namespace) -> int:
         result = contract(g, args.node)
         del g  # the input graph is not needed to write the result
         merged = result.merged_into
-        contracted = (result.graph.adj,
+        contracted = (result.graph.n, result.graph.adj.__getitem__,
                       (old for old, new in enumerate(result.new_ids) if new != merged))
     _emit(args, _contraction_blocks(*contracted))
     return EXIT_OK
 
 
-def _contraction_blocks(adj: Sequence[Sequence[int]], survivors: Iterable[int]) -> Iterator[str]:
-    # "# merged" with the last id of G/v, whose neighbour lists are adj, then
+def _contraction_blocks(n: int, row: Callable[[int], Sequence[int]],
+                        survivors: Iterable[int]) -> Iterator[str]:
+    # "# merged" with the last id of G/v, whose n sorted rows are row(u), then
     # the "# map" lines and the edges of G/v, _WRITE_NODES nodes at a time.
     # Survivors come in ascending old-id order, numbered 0, 1, ...
-    yield f"# merged {len(adj) - 1}\n"
+    yield f"# merged {n - 1}\n"
     rows = zip(survivors, count())
     while block := "".join([f"# map {old} {new}\n" for old, new in islice(rows, _WRITE_NODES)]):
         yield block
-    yield from _edge_lines(adj)
+    yield from _edge_lines(n, row)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

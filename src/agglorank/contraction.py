@@ -2,9 +2,11 @@
 
 ``contract`` contracts a built graph.  ``contract_text`` builds G/v from plain
 text (``graph._plain_text``) without the input graph: its id blocks, less the
-edges that touch N[v], go to ``graph._rows``, whose node table renumbers each
-old id as it first grows over it, so the one builder makes only G/v's sorted
-neighbour lists.  Either way the merged node is G/v's last id, n(G/v) - 1.
+edges that touch N[v], are renumbered through a node table into one flat int
+array of G/v's edges, and ``_flat_rows`` turns that into G/v's rows in two
+more flat arrays (CSR, compressed sparse row): the row offsets and the
+neighbours.  Nothing is made per node.  Either way the merged node is G/v's
+last id, n(G/v) - 1.
 """
 
 from __future__ import annotations
@@ -12,12 +14,20 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from functools import cached_property, partial
-from itertools import compress, count, filterfalse
-from typing import Iterator
+from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
+from operator import ge, sub
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .errors import DegenerateOrderError
-from .graph import (Graph, _check_node, _frozen, _plain_blocks, _plain_text, _reaches_all,
-                    _rows, _set)
+from .graph import Graph, _check_node, _frozen, _plain_blocks, _plain_text, _reaches_all, _set
+
+if TYPE_CHECKING:
+    from array import array
+
+# The typecode of G/v's flat arrays, C int: the ids and the 2m row offsets of
+# a text of fewer than 2^30 lines fit it, and a longer text (over 4 GiB)
+# declines.
+_ID = "i"
 
 
 class ContractionResult:
@@ -100,67 +110,139 @@ def contract(g: Graph, v: int) -> ContractionResult:
     return ContractionResult(graph=contracted, merged_into=merged, new_ids=new_of)
 
 
-def contract_text(text: str, v: int) -> tuple[list[list[int]], Iterator[int]] | None:
+def contract_text(text: str, v: int) -> tuple[int, Callable[[int], Sequence[int]],
+                                              Iterator[int]] | None:
     """Contract v in plain, connected edge-list text without building its graph.
 
-    Returns the sorted neighbour lists of G/v, whose last id is the merged
-    node, and the surviving old ids in ascending order, whose new ids are
-    0, 1, ...: the rows of ``contract`` of the parsed text, as lists.
+    Returns the order n of G/v, whose last id n - 1 is the merged node, its
+    rows ``row(u)`` (ascending), and the surviving old ids in ascending order,
+    whose new ids are 0, 1, ...: the rows of ``contract`` of the parsed text.
     None when the text is not plain (``graph._plain_text``, before any search)
     or holds a fault, when no edge holds v (v isolated or out of the order), or
     when G is disconnected, so that the parser of record decides.  N(v) comes
-    from one search for the lines that hold v.  Then each block of old ids goes
-    to the builder less its pairs that touch S = N[v], and every survivor next
-    to S is joined once to the merged node, old id top + 1, after the last
-    block.  The builder's node table (``graph._rows``) renumbers each old id
-    once, as it grows over it: u becomes u minus the members of S below it,
-    which sends top + 1 to n - |S|.  The rows stay lists: no tuple and no
-    ``Graph`` is made for G/v.  A self-loop or a duplicate on an edge that
-    touches S would vanish, so a set of those pairs finds it; the builder finds
-    the rest.  G is connected exactly when G/v is, since N[v] is connected,
-    which ``is_connected``'s search checks on the rows.
+    from the lines that hold v (``_ends_beside``).  Then each block of old ids,
+    less its pairs that touch S = N[v], is renumbered into one flat array of
+    G/v's edges, and every survivor next to S is joined once to the merged
+    node, old id top + 1, after the last block.  A node table renumbers each
+    old id once, as it grows over it: u becomes u minus the members of S below
+    it, which sends top + 1 to n - 1.  ``_flat_rows`` makes the rows of that
+    array (CSR): no list per node, no tuple and no ``Graph`` is made for G/v.
+    A self-loop or a duplicate on an edge that touches S would vanish, so a set
+    of those pairs finds it; ``_flat_rows`` finds the rest.  G is connected
+    exactly when G/v is, since N[v] is connected, which ``is_connected``'s
+    search checks on the rows.
     """
+    from array import array  # only contract loads it: rank and phi do not
+
     if (plain := _plain_text(text, connected=True)) is None:
         return None
     text, bound = plain
-    lines = re.findall(rf"^(?:0*{v} ([0-9]+)|([0-9]+) 0*{v})$", text, re.MULTILINE)
-    if not lines:
+    if bound >= 1 << 30:  # too many lines for _ID
+        return None
+    if not (others := _ends_beside(text, v)):
         return None  # v is isolated or out of the order
     try:
-        removed = {v, *[int(a or b) for a, b in lines]}
+        removed = {v, *map(int, others)}
     except ValueError:  # an id longer than int() accepts
         return None
     below = partial(bisect_left, sorted(removed))
+    node = array(_ID)  # node[u] is the new id of old id u
+    ids = array(_ID)  # the new ids u0, w0, u1, w1, ... of G/v's edges
     touched: set[tuple[int, ...]] = set()
     top = -1
-
-    def blocks() -> Iterator[list[int] | None]:
-        nonlocal top
-        for ids in _plain_blocks(text):
-            if ids is None:
-                yield None
-                return
-            top = max(top, max(ids, default=-1))
-            # Take out each pair that touches S, the last first, so that the
-            # indices of the others hold.
-            hits = compress(count(), map(removed.__contains__, ids))
-            for at in sorted({i & ~1 for i in hits}, reverse=True):
-                key = tuple(sorted(ids[at:at + 2]))
-                if key[0] == key[1] or key in touched:
-                    yield None
-                    return
-                touched.add(key)
-                del ids[at:at + 2]
-            yield ids
-        # The merged node enters as old id top + 1, above all of S.
-        outside = {u for pair in touched for u in pair} - removed
-        yield [x for u in outside for x in (u, top + 1)]
-
-    # The limit is one past the bound, for the merged node alone: an id at the
-    # bound puts the merged node past it, or leaves it out, and declines.
-    rows = _rows(blocks(), bound + 1, 1,
-                 renumber=lambda lo, hi: [u - below(u) for u in range(lo, hi)])
-    # rows lack the merged node when S is in no edge with a survivor.
-    if rows is None or len(rows) != top + 2 - len(removed) or not _reaches_all(rows):
+    for block in _plain_blocks(text):
+        if block is None:
+            return None
+        # An id at or above the bound makes more nodes than the edges connect.
+        if (top := max(top, max(block, default=-1))) >= bound:
+            return None
+        # Take out each pair that touches S, the last first, so that the
+        # indices of the others hold.
+        hits = compress(count(), map(removed.__contains__, block))
+        for at in sorted({i & ~1 for i in hits}, reverse=True):
+            key = tuple(sorted(block[at:at + 2]))
+            if key[0] == key[1] or key in touched:
+                return None
+            touched.add(key)
+            del block[at:at + 2]
+        new = range(len(node), top + 1)
+        node.extend(map(sub, new, map(below, new)))
+        ids.fromlist(list(map(node.__getitem__, block)))
+    # The merged node enters as old id top + 1, above all of S.
+    node.append(top + 1 - len(removed))
+    for u in sorted({u for pair in touched for u in pair} - removed):
+        ids.extend((node[u], node[-1]))
+    n = node[-1] + 1
+    del node
+    if (row := _flat_rows(ids, n)) is None or not _reaches_all(n, row):
         return None
-    return rows, filterfalse(removed.__contains__, range(top + 1))
+    return n, row, filterfalse(removed.__contains__, range(top + 1))
+
+
+def _ends_beside(text: str, v: int) -> list[str]:
+    # The other end of each edge line of plain text that holds v.  Each
+    # search starts with one character, "\n" or " ", which the regex engine
+    # skips to; a pattern that starts with "^" is tried at every character.
+    ends = re.findall(rf"\n0*{v} ([0-9]+)$", text, re.MULTILINE)
+    if first := re.match(rf"0*{v} ([0-9]+)$", text, re.MULTILINE):
+        ends.append(first[1])
+    for m in re.finditer(rf" 0*{v}$", text, re.MULTILINE):
+        start = text.rfind("\n", 0, m.start()) + 1
+        if text[start] != "#":  # not a comment line
+            ends.append(text[start:m.start()])
+    return ends
+
+
+def _flat_rows(ids: array, n: int) -> Callable[[int], array] | None:
+    """``row(u)``, the ascending neighbours of u in the n-node graph whose
+    edges are ids = u0, w0, u1, w1, ...
+
+    Row u is ``nbr[start[u]:start[u + 1]]`` (CSR): one array of row offsets,
+    counted from the degrees, and one of neighbours.  Each edge goes into both
+    its rows in the order of ids, so the rows of canonical text, whose lines
+    ascend with the smaller end first, ascend too and are not sorted.  Any
+    other order is sorted by one transposing pass, which builds no list per
+    unsorted row.  ids is emptied once the rows hold its edges, so that the
+    pass does not hold it too.  None when a self-loop or a duplicate leaves a
+    repeat in some row.
+    """
+    from array import array
+
+    degree = [0] * n  # a list: degrees are small ints, which are not made anew
+    for u in ids:
+        degree[u] += 1
+    start = array(_ID, accumulate(degree, initial=0))
+    del degree
+    at = start[:-1]  # where the next entry of each row goes
+    nbr = array(_ID, [0]) * len(ids)
+    pairs = iter(ids)
+    for u, w in zip(pairs, pairs):
+        i = at[u]
+        nbr[i] = w
+        at[u] = i + 1
+        i = at[w]
+        nbr[i] = u
+        at[w] = i + 1
+    del ids[:]
+    if not _ascending(start, nbr):
+        # Entry w of row u puts u in row w.  The rows are read from the
+        # first down, so each row is filled in ascending order.
+        owners = chain.from_iterable(map(repeat, count(), map(sub, start[1:], start)))
+        transposed, at = array(_ID, [0]) * len(nbr), start[:-1]
+        for u, w in zip(owners, nbr):
+            i = at[w]
+            transposed[i] = u
+            at[w] = i + 1
+        nbr = transposed
+        if not _ascending(start, nbr):
+            return None
+    return lambda u: nbr[start[u]:start[u + 1]]
+
+
+def _ascending(start: array, nbr: array) -> bool:
+    # Whether each row strictly ascends: every entry not above the one before
+    # it starts a row.
+    head = bytearray(len(nbr) + 1)
+    for i in start:
+        head[i] = 1
+    return all(map(head.__getitem__, compress(count(1), map(ge, nbr, islice(nbr, 1, None)))))

@@ -7,22 +7,24 @@ appear in no edge.  Canonical output sorts edges by (min id, max id) with the
 smaller id first on each line.
 
 Every graph is built through a node table, with one int object per node:
-``_rows`` gives its sorted neighbour lists, in which a self-loop or a
-duplicate is found, and ``_from_blocks`` makes them tuples.  Plain text ("u v"
-lines of ASCII digits and one space, and comment lines that start the line
-and are no order header) parses this way in bulk, split one block of lines at
-a time; it declines ids at or above a bound taken from the count of edge
-lines.  ``_plain_text`` decides once, for the whole text, whether it is plain,
+``_from_blocks`` sorts its neighbour lists, in which a self-loop or a
+duplicate is found, and makes them tuples; the nodes in no edge share ``()``.
+Plain text ("u v" lines of ASCII digits and one space, and comment lines that
+start the line and are no order header) parses this way in bulk, split one
+block of lines at a time; it declines ids at or above a bound taken from the
+count of edge lines.  ``_plain_text`` decides once, for the whole text, whether it is plain,
 by matching its first line and searching for a newline before a line that is
 not plain, which holds no state from line to line.  The bulk path reads
 every line break of ``str.splitlines()`` as "\n" (``_newlines_only``).
 Anything else, plain text with a fault, or such an id goes line by line
 through ``_validated``, which gives the same graph and is the only code that
 raises.  ``from_edge_list`` builds the same way and names a fault from
-``_validated``.  ``contraction.contract_text`` passes the same plain blocks
-to ``_rows``, renumbering the node table, to build G/v's lists without its
-input graph.  ``to_edge_list`` joins the blocks of ``_edge_lines``, which the
-``contract`` command writes one at a time from any neighbour lists.
+``_validated``.  ``contraction.contract_text`` reads the same plain blocks
+to build G/v in flat int arrays, without its input graph.  The search of
+``is_connected`` (``_reaches_all``) and the writer of ``to_edge_list``
+(``_edge_lines``) read rows by index, ``row(u)``, so they serve both a
+``Graph``'s tuples and those arrays; the ``contract`` command writes the
+blocks of ``_edge_lines`` one at a time.
 
 The "# class <id> <label>" lines of labeled text are found here too
 (``scan_class_comments``), by one search of the text, so ``rank`` reads
@@ -36,7 +38,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from functools import reduce
-from itertools import accumulate, chain, compress, count
+from itertools import accumulate, chain, compress, count, repeat
 from operator import itemgetter, mul, or_, xor
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
@@ -172,40 +174,27 @@ def _validated(
         i = next(i for i, (_, v) in enumerate(pairs) if v >= n)
         raise error(i, f"node id {pairs[i][1]} outside declared order n={n}")
     if connected and len(pairs) < n - 1:
+        # An order wider than 64 bits is named by its digit count, not its digits.
+        nodes = n if n.bit_length() <= 64 else f"a {len(str(n))}-digit number of"
         raise ConnectivityError(
-            f"{len(pairs)} edges cannot connect {n} nodes (ids not dense?): a node is unreachable")
+            f"{len(pairs)} edges cannot connect {nodes} nodes (ids not dense?): a node is unreachable")
     return _from_blocks(_edge_blocks(pairs), n, n, simple=True)
 
 
 def _from_blocks(blocks: Iterable[list[int] | None], limit: int, order: int = 0,
                  simple: bool = False) -> Graph | None:
-    """The graph of ``_rows(blocks, limit, order, simple=simple)``.
-
-    Its rows become tuples from the last node down: an allocator effect, with
-    which a 100,000-node parse peaked 1.5 MiB lower in RSS than first-up.
-    """
-    if (rows := _rows(blocks, limit, order, simple=simple)) is None:
-        return None
-    for v in reversed(range(len(rows))):
-        rows[v] = tuple(rows[v])
-    return Graph(len(rows), tuple(rows))
-
-
-def _rows(blocks: Iterable[list[int] | None], limit: int, order: int = 0, *,
-          simple: bool = False,
-          renumber: Callable[[int, int], Iterable[int]] | None = None) -> list[list[int]] | None:
-    """Sorted neighbour lists through a node table from flat ids u0, v0, u1, ...
+    """The graph of flat ids u0, v0, u1, ..., built through a node table.
 
     ``node[i] is i``, so the rows hold one int object per node.  The order is
-    the larger of ``order`` and 1 + the largest id.  None, without naming the
-    fault, as soon as a block is None or holds an id outside [0, limit), when
-    there would be no node, or when a self-loop or a duplicate leaves a
-    repeat in some neighbour list.  ``simple`` says the caller has already
-    ruled out every self-loop and duplicate, so the neighbour lists are not
-    searched again.
-    ``renumber(lo, hi)``, when given, gives the new ids of the block ids
-    lo, ..., hi - 1 as the table grows over them, ascending: ``node[i]`` is
-    then i's new id, found once per id of the table, not once per edge end.
+    the larger of ``order`` and 1 + the largest id, and the nodes above the
+    largest id share the empty row ``()``.  None, without naming the fault, as
+    soon as a block is None or holds an id outside [0, limit), when there would
+    be no node, or when a self-loop or a duplicate leaves a repeat in some
+    neighbour list.  ``simple`` says the caller has already ruled out every
+    self-loop and duplicate, so the neighbour lists are not searched again.
+    The sorted lists become tuples from the last node down: an allocator
+    effect, with which a 100,000-node parse peaked 1.5 MiB lower in RSS than
+    first-up.
     """
     node: list[int] = []
     adj: list[list[int]] = []
@@ -219,21 +208,24 @@ def _rows(blocks: Iterable[list[int] | None], limit: int, order: int = 0, *,
         if top >= limit or min(ids) < 0:
             return None
         if top >= len(node):
-            node += range(len(node), top + 1) if renumber is None else renumber(len(node), top + 1)
-            adj += [[] for _ in range(len(adj), node[-1] + 1)]
+            node += range(len(node), top + 1)
+            adj += [[] for _ in range(len(adj), top + 1)]
         pairs = map(node.__getitem__, ids)
         for u, v in zip(pairs, pairs):
             adj[u].append(v)
             adj[v].append(u)
         m += len(ids) // 2
-    adj += [[] for _ in range(len(adj), order)]
-    if not adj:
+    if not (adj or order):
         return None
     if not simple and sum(map(len, map(set, adj))) != 2 * m:
         return None
     for nbrs in adj:
         nbrs.sort()
-    return adj
+    for v in reversed(range(len(adj))):
+        adj[v] = tuple(adj[v])
+    if order > len(adj):  # no list of the rows in no edge, which share ()
+        return Graph(order, tuple(chain(adj, repeat((), order - len(adj)))))
+    return Graph(len(adj), tuple(adj))
 
 
 def from_edge_list(edges: Iterable[tuple[int, int]], n: int | None = None) -> Graph:
@@ -367,13 +359,16 @@ def _int_field(digits: str, what: str, line: int | None = None) -> int:
     try:
         return int(digits)
     except ValueError:
-        raise EdgeListError(f"{what} of {len(digits)} digits is too long", line=line) from None
+        raise EdgeListError(f"{what} of {len(digits.lstrip('-'))} digits is too long",
+                            line=line) from None
 
 
-def _node_id(token: str) -> int:
+def _node_id(token: str, line: int) -> int:
+    # A ValueError for a token that is no decimal id; an EdgeListError for an
+    # id too long for int().
     if not _NODE_ID.fullmatch(token):
         raise ValueError(token)
-    return int(token)
+    return _int_field(token, "node id", line)
 
 
 def _parse_lines(text: str, connected: bool) -> Graph:
@@ -400,7 +395,7 @@ def _parse_lines(text: str, connected: bool) -> Graph:
             if len(parts) != 2:
                 raise EdgeListError(f"expected two node ids, got {stripped!r}", line=line_no)
             try:
-                u, v = map(_node_id, parts)
+                u, v = (_node_id(part, line_no) for part in parts)
             except ValueError:
                 raise EdgeListError(f"non-integer node id in {stripped!r}", line=line_no) from None
             lines.append(line_no)
@@ -416,16 +411,18 @@ def to_edge_list(g: Graph) -> str:
     order, that is when the last node has no neighbor (isolated trailing
     nodes, or an edgeless single-node graph).
     """
-    return "".join(_edge_lines(g.adj))
+    return "".join(_edge_lines(g.n, g.adj.__getitem__))
 
 
-def _edge_lines(adj: Sequence[Sequence[int]]) -> Iterator[str]:
-    # to_edge_list's text of neighbour lists adj, _WRITE_NODES nodes at a time.
-    if adj and not adj[-1]:
-        yield f"# n={len(adj)}\n"
-    for lo in range(0, len(adj), _WRITE_NODES):
-        rows = enumerate(adj[lo:lo + _WRITE_NODES], lo)
-        yield "".join([f"{u} {v}\n" for u, nbrs in rows for v in nbrs if v > u])
+def _edge_lines(n: int, row: Callable[[int], Sequence[int]]) -> Iterator[str]:
+    # to_edge_list's text of the n sorted rows row(0), row(1), ..., written
+    # _WRITE_NODES nodes at a time.
+    if n and not row(n - 1):
+        yield f"# n={n}\n"
+    for lo in range(0, n, _WRITE_NODES):
+        nodes = range(lo, min(lo + _WRITE_NODES, n))
+        yield "".join([f"{u} {v}\n" for u, nbrs in zip(nodes, map(row, nodes))
+                       for v in nbrs if v > u])
 
 
 def degree(g: Graph, v: int) -> int:
@@ -464,20 +461,24 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 
 def is_connected(g: Graph) -> bool:
     """True iff a BFS from node 0 reaches every node."""
-    return _reaches_all(g.adj)
+    return _reaches_all(g.n, g.adj.__getitem__)
 
 
-def _reaches_all(adj: Sequence[Sequence[int]]) -> bool:
-    # is_connected's search, over any neighbour lists.
-    seen = bytearray(len(adj))
+def _reaches_all(n: int, row: Callable[[int], Iterable[int]]) -> bool:
+    # is_connected's search over the n rows row(0), row(1), ...  The queue is
+    # a flat buffer of C ints, so it holds no int object per node.
+    seen = bytearray(n)
     seen[0] = 1
-    queue = [0]
-    for u in queue:  # the queue grows as it is read
-        for w in adj[u]:
+    queue = memoryview(bytearray(4 * n)).cast("i")
+    head, end = 0, 1
+    while head < end:
+        for w in row(queue[head]):
             if not seen[w]:
                 seen[w] = 1
-                queue.append(w)
-    return len(queue) == len(adj)
+                queue[end] = w
+                end += 1
+        head += 1
+    return end == n
 
 
 def _disconnected(g: Graph) -> NoReturn:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agglorank import agglomeration, cli, graph, verify
+from agglorank import agglomeration, cli, contraction, graph, verify
 from agglorank.cli import _range_arg, main
 from agglorank.contraction import contract, contract_text
 from agglorank.errors import EdgeListError
@@ -350,8 +350,10 @@ class TestContract:
 
     def test_peak_memory_stays_near_one_graph(self, tmp_path):
         # contract builds only the contracted graph, from the text's id blocks,
-        # and writes its text in blocks: no input graph, no id map, no
-        # whole-output string, no encoded copy.  The bound is the parse's own.
+        # in flat int arrays, and writes its text in blocks: no input graph, no
+        # list per node, no id map, no whole-output string, no encoded copy.
+        # It peaks at about 0.86 times the input graph's size, text included;
+        # built as one list per node it read 1.96 times.
         text = random_edge_text(20_000, 40_000)
         g = parse_edge_list(text, connected=True)
         size = graph_bytes(g)
@@ -368,7 +370,7 @@ class TestContract:
             tracemalloc.stop()
         del held
         assert code == 0
-        assert peak < 2 * size, f"contract peak {peak} B for an input graph of {size} B"
+        assert peak < 1.25 * size, f"contract peak {peak} B for an input graph of {size} B"
 
     def test_plain_connected_text_is_written_without_a_graph(self, capsys, monkeypatch,
                                                             tmp_path):
@@ -390,15 +392,16 @@ class TestContract:
         assert code == 2
         assert err == "error: node 9 out of range for graph of order 4\n"
 
-    def test_an_id_too_long_for_int_exit_2_with_line(self, capsys, tmp_path):
-        # int() refuses a 5,000-digit id, so the line that holds v cannot be
-        # read without the line path, which names it.
-        text = f"0 1\n1 {'9' * 5000}\n"
+    @_ANY_LENGTH
+    @pytest.mark.parametrize("command", ["rank", "phi", "contract"])
+    def test_an_id_too_long_for_int_exit_2_with_line(self, capsys, tmp_path, command):
+        # int() refuses the id, so the line that holds it cannot be read
+        # without the line path, which names it by its digit count.
+        text = f"0 1\n1 {_LONG}\n"
         assert contract_text(text, 1) is None
         source = write(tmp_path, "long.edges", text)
-        code, out, err = run(capsys, "contract", source, "--node", "1")
-        assert (code, out) == (2, "")
-        assert err.startswith("error: line 2: non-integer node id in '1 999")
+        assert run(capsys, command, source, *TestConnectivityPrecondition.ARGS[command]) \
+            == (2, "", f"error: line 2: node id of {len(_LONG)} digits is too long\n")
 
     @_ANY_LENGTH
     def test_an_id_too_long_for_int_away_from_v_exits_as_the_line_parser(self, capsys, tmp_path):
@@ -417,11 +420,14 @@ class TestContract:
         assert code == 3
 
     # contract of plain, connected text builds G/v without G; every other
-    # input goes the old way, and both ways agree to the byte.
+    # input goes the old way, and both ways agree to the byte.  The lines
+    # come shuffled with either end first, canonical (sorted, the smaller end
+    # first), or shuffled with one duplicate or self-loop put in.
     @given(st.integers(2, 14), st.integers(0, 2**32 - 1),
-           st.sampled_from(["hub", "leaf", "zero", "everything"]))
+           st.sampled_from(["hub", "leaf", "zero", "everything"]),
+           st.sampled_from(["shuffled", "canonical", "repeat"]))
     @settings(max_examples=150, deadline=None)
-    def test_new_path_agrees_on_connected_graphs(self, n, seed, pick):
+    def test_new_path_agrees_on_connected_graphs(self, n, seed, pick, form):
         rng = random.Random(seed)
         g = random_connected_graph(rng, n)
         edges = list(g.edges())
@@ -434,21 +440,32 @@ class TestContract:
         else:
             degrees = [len(nbrs) for nbrs in g.adj]
             node = degrees.index((max if pick == "hub" else min)(degrees))
-        rng.shuffle(edges)
-        text = "".join(f"{u} {w}\n" if rng.random() < 0.5 else f"{w} {u}\n" for u, w in edges)
-        assert_contract_as_before(text, node, new_path=True)
+        if form == "canonical":
+            text = "".join(f"{u} {w}\n" for u, w in sorted(edges))
+        else:
+            rng.shuffle(edges)
+            if form == "repeat":
+                u = rng.randrange(n)
+                edges.insert(rng.randrange(len(edges) + 1),
+                             rng.choice([(u, u), rng.choice(edges)]))
+            text = "".join(f"{u} {w}\n" if rng.random() < 0.5 else f"{w} {u}\n"
+                           for u, w in edges)
+        assert_contract_as_before(text, node, new_path=form != "repeat")
 
     @pytest.mark.parametrize("text,node,new_path", [
         ("0 1\n", 0, True),                                 # P2: one node
         ("0 1\n", 1, True),
         (K4, 2, True),
         ("# class 0 x\n00 01\n# 1 7\n01 2\n2 3", 1, True),  # comments, zeros, no last break
+        ("1 0\n# see 1\n2 001\n2 3\n", 1, True),          # v first on line 1, a comment
         ("0 1\r\n1 2\r\n2 3\r\n", 1, True),                 # CRLF reads in bulk
         ("0 1\n1 1\n1 2\n", 0, False),                      # self-loop inside S
         ("0 1\n1 2\n2 1\n", 0, False),                      # duplicate survivor-S edge
         ("0 1\n1 0\n1 2\n", 0, False),                      # duplicate inside S
         ("0 1\n1 2\n2 3\n3 3\n", 0, False),                 # self-loop between survivors
         ("0 1\n1 2\n2 3\n3 2\n", 0, False),                 # duplicate between survivors
+        ("3 3\n2 3\n1 2\n0 1\n", 0, False),                 # the same, in rows sorted after
+        ("3 2\n0 1\n1 2\n2 3\n", 0, False),
         (TWO_TRIANGLES, 4, False),                          # S unreachable, and it holds node 3
         (TWO_TRIANGLES, 0, False),                          # S reachable, node 3 is not
         ("0 1\n1 2\n3 4\n4 5\n5 3\n", 0, False),            # S and a survivor, then a triangle
@@ -493,22 +510,66 @@ class TestContractNumbering:
     @pytest.mark.parametrize("text,node", [("0 1\n0 2\n0 3\n", 0), ("3 1\n2 3\n0 3\n", 3),
                                            ("1 0\n", 1), (K4, 3)])
     def test_the_one_node_result(self, text, node):
-        rows, _ = contract_text(text, node)
-        assert tuple(map(tuple, rows)) == parse_edge_list("# n=1\n").adj
+        assert rows_of(contract_text(text, node)) == parse_edge_list("# n=1\n").adj
         assert_contract_as_before(text, node, new_path=True)
 
     def test_survivors_touch_the_contracted_set_from_below_and_above(self):
         # N[3] = {1, 3, 5}; survivors 0 and 2 lie below parts of it, 4 between
         # and 6 above all of it, and each is joined once to the merged node.
         text = "3 1\n3 5\n0 1\n2 1\n4 5\n6 5\n2 4\n0 6\n2 5\n"
-        rows, survivors = contract_text(text, 3)
-        assert list(survivors) == [0, 2, 4, 6]
-        assert tuple(map(tuple, rows)) \
+        contracted = contract_text(text, 3)
+        assert rows_of(contracted) \
             == from_edge_list([(0, 4), (1, 4), (2, 4), (3, 4), (1, 2), (0, 3)]).adj
+        assert list(contracted[2]) == [0, 2, 4, 6]
         assert_contract_as_before(text, 3, new_path=True)
 
+    def test_renumbering_runs_once_per_node_of_the_table(self, monkeypatch):
+        # Each old id is renumbered as the node table first grows over it, over
+        # blocks of a few lines: ids 0..top once each, in order.  The merged
+        # node, old id top + 1, takes the last new id without a search.
+        monkeypatch.setattr(graph, "_BLOCK_CHARS", 8)
+        searched = []
 
-def _no_search(adj):
+        def bisect_left(members, u):
+            searched.append(u)
+            return sum(s < u for s in members)
+
+        monkeypatch.setattr(contraction, "bisect_left", bisect_left)
+        text = "0 2\n3 2\n0 3\n5 0\n1 4\n4 5\n1 6\n"  # S = N[1] = {1, 4, 6}
+        assert rows_of(contract_text(text, 1)) \
+            == from_edge_list([(0, 1), (2, 1), (0, 2), (3, 0), (3, 4)]).adj
+        assert searched == list(range(7))
+
+    # Rows come out ascending for any line order.  Sorted lines fill them in
+    # order, whichever end comes first, and are checked once; any other order
+    # is sorted by one transposing pass, and checked again.
+    @pytest.mark.parametrize("order,checks", [("canonical", 1), ("larger end first", 1),
+                                              ("shuffled", 2)])
+    def test_rows_ascend_for_any_line_order(self, monkeypatch, order, checks):
+        g = parse_edge_list(random_edge_text(300, 900), connected=True)
+        edges = list(g.edges())
+        if order != "canonical":
+            edges = [(w, u) for u, w in edges]
+        if order == "shuffled":
+            random.Random(order).shuffle(edges)
+        text = "".join(f"{u} {w}\n" for u, w in edges)
+        hub = max(range(g.n), key=lambda v: len(g.adj[v]))
+        calls = []
+        ascending = contraction._ascending
+        monkeypatch.setattr(contraction, "_ascending",
+                            lambda *rows: calls.append(0) or ascending(*rows))
+        assert rows_of(contract_text(text, hub)) == contract(g, hub).graph.adj
+        assert len(calls) == checks
+        assert_contract_as_before(text, hub, new_path=True)
+
+
+def rows_of(contracted):
+    # The rows of contract_text's G/v as tuples, as a Graph holds them.
+    n, row, _ = contracted
+    return tuple(tuple(row(u)) for u in range(n))
+
+
+def _no_search(n, row):
     raise AssertionError("the connectivity search ran")
 
 
@@ -785,6 +846,9 @@ class TestStartup:
             assert module not in loaded
         if "dataclasses" not in bare:
             assert "dataclasses" not in loaded
+        # Only contract builds flat arrays (G/v); rank and phi need no array.
+        if "array" not in bare:
+            assert ("array" in loaded) == (command == "contract")
 
     def test_gen_and_verify_load_the_family_registry(self, tmp_path):
         out = str(tmp_path / "out.txt")

@@ -431,6 +431,46 @@ def test_a_class_id_too_long_for_int_is_named_at_its_line():
     assert info.value.line == 3
 
 
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int() reads any length")
+@pytest.mark.parametrize("line", ["1 {}", "{} 1", "-{} 1"])
+def test_a_node_id_too_long_for_int_is_named_by_its_digits(line):
+    digits = sys.get_int_max_str_digits() + 1
+    text = "0 1\n" + line.format("9" * digits) + "\n"
+    for connected in (False, True):
+        with pytest.raises(EdgeListError) as info:
+            parse_edge_list(text, connected=connected)
+        assert (str(info.value), info.value.line) \
+            == (f"line 2: node id of {digits} digits is too long", 2)
+
+
+@pytest.mark.parametrize("digits", [19, 20, 4000])
+def test_a_long_order_too_large_to_connect_is_named_by_its_digits(digits):
+    # An order wider than 64 bits is named by its digit count; 10^19 - 1,
+    # of 64 bits, is still written out.
+    order = "9" * digits
+    with pytest.raises(ConnectivityError) as info:
+        parse_edge_list(f"# n={order}\n0 1\n", connected=True)
+    nodes = order if digits < 20 else f"a {digits}-digit number of"
+    assert str(info.value) \
+        == f"1 edges cannot connect {nodes} nodes (ids not dense?): a node is unreachable"
+
+
+def test_nodes_in_no_edge_share_the_empty_row():
+    # A "# n=" header far above the edges makes no list per node: the graph
+    # is its tuple of rows, one pointer each, all but two the shared ().  The
+    # bound leaves room for the tuple's growth as it is filled.
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(f"# n={n}\n0 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == from_edge_list([(0, 1)], n=n)
+    assert g.adj[2] == () and g.adj[2] is g.adj[n - 1]
+    assert peak < 12 * n, f"parse peak {peak} B for {n} nodes"
+
+
 @st.composite
 def connected_graphs(draw, min_n=2, max_n=8):
     n = draw(st.integers(min_n, max_n))
@@ -569,7 +609,7 @@ _PLAIN_FAULTS = [
     ("0 1\n1 2\n2 1\n", False, EdgeListError, "line 3: duplicate edge 2 1", 3),
     ("0 1\n1 2\n1 0", True, EdgeListError, "line 3: duplicate edge 1 0", 3),
     ("0 1\n1 " + "9" * 5000 + "\n", False, EdgeListError,
-     "line 2: non-integer node id in '1 " + "9" * 5000 + "'", 2),
+     "line 2: node id of 5000 digits is too long", 2),
     ("0 1\n2 3\n", True, ConnectivityError,
      "2 edges cannot connect 4 nodes (ids not dense?): a node is unreachable", None),
     ("0 2000000", True, ConnectivityError,
@@ -785,21 +825,6 @@ def test_newlines_only_is_the_join_of_splitlines(text):
     # A text with only "\n" breaks is kept as it is, a final "\n" included.
     other_breaks = any(c in text for c in graph._LINE_BREAKS)
     assert graph._newlines_only(text) == ("\n".join(text.splitlines()) if other_breaks else text)
-
-
-def test_renumbering_runs_once_per_node_of_the_table():
-    # Each block id is renumbered as the node table first grows over it: the
-    # ranges tile 0..top once, in order.  Ids 1 and 4 are in no edge and are
-    # left out, as contract_text leaves out the contracted set.
-    ranges = []
-
-    def renumber(lo, hi):
-        ranges.append((lo, hi))
-        return [u - (u > 1) - (u > 4) for u in range(lo, hi)]
-
-    rows = graph._rows(iter([[0, 2], [3, 2, 0, 3], [5, 0]]), 6, renumber=renumber)
-    assert ranges == [(0, 3), (3, 4), (4, 6)]
-    assert rows == list(map(list, from_edge_list([(0, 1), (2, 1), (0, 2), (3, 0)]).adj))
 
 
 def test_plain_parse_memory_stays_near_the_graph():
