@@ -22,7 +22,7 @@ from .contraction import contract, contract_text
 from .errors import AggloRankError, ConnectivityError, EdgeListError, FamilyParameterError
 from .graph import (_WRITE_NODES, _edge_lines, bfs_distances, check_class_nodes,
                     parse_edge_list, scan_class_comments)
-from .reports import FORMATS, render_phi, render_rank, render_verify
+from .reports import FORMATS, render_phi, render_rank, verify_blocks
 
 import argparse
 import re
@@ -149,7 +149,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cls, _ = _family_commands()[args.family]
     ranges = {name: getattr(args, name) for name in cls.GRID if getattr(args, name) is not None}
     report = verify_family(cls.NAME, ranges, jobs=args.jobs)
-    _emit(args, [render_verify(report, args.format)])
+    _emit(args, verify_blocks(report, args.format))
     return EXIT_MISMATCH if report.mismatches else EXIT_OK
 
 

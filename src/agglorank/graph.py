@@ -36,6 +36,7 @@ importing ``dataclasses``.
 from __future__ import annotations
 
 import re
+import sys
 from collections import deque
 from functools import reduce
 from itertools import accumulate, chain, compress, count, repeat
@@ -71,6 +72,11 @@ _BLOCK_CHARS = 1 << 12
 _BLOCK_EDGES = 1 << 12
 # to_edge_list joins the lines of this many nodes at a time.
 _WRITE_NODES = 4096
+# The most rows a graph's tuple can hold: CPython refuses a longer tuple.
+_MAX_ORDER = sys.maxsize // 8
+# A message quotes a line of up to this many characters, and names a longer
+# one by its length.
+_QUOTED = 80
 
 
 def _frozen(self, name: str, *value) -> NoReturn:
@@ -125,6 +131,21 @@ class Graph:
         return f"Graph(n={self.n}, edges={list(self.edges())!r})"
 
 
+def _digits(x: int) -> int:
+    # The decimal digits of |x| >= 10, counted without writing x: an order,
+    # 1 + the largest id, may have one digit more than str() writes.
+    return len(str(abs(x) // 10)) + 1
+
+
+def _id(x: int) -> str:
+    # x for a message, or, wider than 64 bits, its digit count.
+    return str(x) if abs(x).bit_length() <= 64 else f"{'-' * (x < 0)}<{_digits(x)} digits>"
+
+
+def _quoted(line: str) -> str:
+    return repr(line) if len(line) <= _QUOTED else f"a line of {len(line)} characters"
+
+
 def _check_node(g: Graph, v: int) -> None:
     if not 0 <= v < g.n:
         raise IndexError(f"node {v} out of range for graph of order {g.n}")
@@ -156,11 +177,11 @@ def _validated(
     for i, (u, v) in enumerate(edges):
         key = (u, v) if u < v else (v, u)
         if key[0] < 0:
-            raise error(i, f"negative node id in '{u} {v}'")
+            raise error(i, f"negative node id in '{_id(u)} {_id(v)}'")
         if u == v:
-            raise error(i, f"self-loop at node {u}")
+            raise error(i, f"self-loop at node {_id(u)}")
         if key in seen:
-            raise error(i, f"duplicate edge {u} {v}")
+            raise error(i, f"duplicate edge {_id(u)} {_id(v)}")
         seen.add(key)
         pairs.append(key)
     del seen  # the graph is built without it
@@ -172,12 +193,14 @@ def _validated(
         n = top + 1
     elif top >= n:
         i = next(i for i, (_, v) in enumerate(pairs) if v >= n)
-        raise error(i, f"node id {pairs[i][1]} outside declared order n={n}")
+        raise error(i, f"node id {_id(pairs[i][1])} outside declared order n={_id(n)}")
     if connected and len(pairs) < n - 1:
         # An order wider than 64 bits is named by its digit count, not its digits.
-        nodes = n if n.bit_length() <= 64 else f"a {len(str(n))}-digit number of"
+        nodes = n if n.bit_length() <= 64 else f"a {_digits(n)}-digit number of"
         raise ConnectivityError(
             f"{len(pairs)} edges cannot connect {nodes} nodes (ids not dense?): a node is unreachable")
+    if n > _MAX_ORDER:
+        raise EdgeListError(f"order {_id(n)} is too large for a graph")
     return _from_blocks(_edge_blocks(pairs), n, n, simple=True)
 
 
@@ -188,14 +211,16 @@ def _from_blocks(blocks: Iterable[list[int] | None], limit: int, order: int = 0,
     ``node[i] is i``, so the rows hold one int object per node.  The order is
     the larger of ``order`` and 1 + the largest id, and the nodes above the
     largest id share the empty row ``()``.  None, without naming the fault, as
-    soon as a block is None or holds an id outside [0, limit), when there would
-    be no node, or when a self-loop or a duplicate leaves a repeat in some
-    neighbour list.  ``simple`` says the caller has already ruled out every
-    self-loop and duplicate, so the neighbour lists are not searched again.
-    The sorted lists become tuples from the last node down: an allocator
-    effect, with which a 100,000-node parse peaked 1.5 MiB lower in RSS than
-    first-up.
+    soon as a block is None or holds an id outside [0, limit), when ``limit``
+    is more nodes than a graph holds, when there would be no node, or when a
+    self-loop or a duplicate leaves a repeat in some neighbour list.
+    ``simple`` says the caller has already ruled out every self-loop and
+    duplicate, so the neighbour lists are not searched again.  The sorted
+    lists become tuples from the last node down: an allocator effect, with
+    which a 100,000-node parse peaked 1.5 MiB lower in RSS than first-up.
     """
+    if limit > _MAX_ORDER:
+        return None
     node: list[int] = []
     adj: list[list[int]] = []
     m = 0
@@ -324,7 +349,7 @@ def scan_class_comments(text: str) -> dict[int, str]:
     for line_no, m in _matching_lines(_CLASS_LINE, text):
         v = _int_field(m.group(1), "class comment node id", line_no)
         if v in classes:
-            raise EdgeListError(f"repeated class comment for node {v}", line=line_no)
+            raise EdgeListError(f"repeated class comment for node {_id(v)}", line=line_no)
         classes[v] = m.group(2)
     return classes
 
@@ -333,7 +358,7 @@ def check_class_nodes(classes: dict[int, str], order: int) -> None:
     """Refuse a class comment for a node that a graph of this order lacks."""
     for v in classes:
         if v >= order:
-            raise EdgeListError(f"class comment for unknown node {v}")
+            raise EdgeListError(f"class comment for unknown node {_id(v)}")
 
 
 def _plain_blocks(text: str) -> Iterator[list[int] | None]:
@@ -393,11 +418,13 @@ def _parse_lines(text: str, connected: bool) -> Graph:
                 continue
             parts = stripped.split()
             if len(parts) != 2:
-                raise EdgeListError(f"expected two node ids, got {stripped!r}", line=line_no)
+                raise EdgeListError(f"expected two node ids, got {_quoted(stripped)}",
+                                    line=line_no)
             try:
                 u, v = (_node_id(part, line_no) for part in parts)
             except ValueError:
-                raise EdgeListError(f"non-integer node id in {stripped!r}", line=line_no) from None
+                raise EdgeListError(f"non-integer node id in {_quoted(stripped)}",
+                                    line=line_no) from None
             lines.append(line_no)
             yield u, v
 

@@ -10,14 +10,19 @@ alone.  The table is a grid of rows, with the lines that frame it (rank's
 ``phi`` and ``L`` before it, verify's notes, violations and summary after it)
 printed as they are; CSV writes the same rows and turns each framing line
 into a ``# `` comment.  ``phi``'s table is ``key value`` lines, with no grid.
+Each format builds only what it writes: the JSON document for JSON, the
+grid's cells for the table and CSV.  The grid goes out in blocks of
+``_BLOCK_ROWS`` rows; ``verify_blocks`` hands them to the writer one at a
+time, and ``render_verify`` joins them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from itertools import chain, islice
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from .agglomeration import RankReport
+from .agglomeration import ImcEntry, RankReport
 
 if TYPE_CHECKING:
     from .verify import VerifyReport
@@ -25,6 +30,9 @@ if TYPE_CHECKING:
 FORMATS = ("table", "csv", "json")
 
 _SCALE = 10**6
+
+# The rows of a table or CSV grid written in one block.
+_BLOCK_ROWS = 4096
 
 
 def decimal6(x: Fraction) -> str:
@@ -36,37 +44,45 @@ def decimal6(x: Fraction) -> str:
     return f"{sign}{scaled // _SCALE}.{scaled % _SCALE:06d}"
 
 
-def _table(header: list[str], rows: list[list[str]]) -> str:
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    out = []
-    for row in [header] + rows:
-        out.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "".join(line + "\n" for line in out)
+def _render(fmt: str, doc: Callable[[], dict], header: list[str],
+            rows: Callable[[], Iterable[list[str]]],
+            head: list[str] = (), tail: list[str] = ()) -> Iterator[str]:
+    """The one place that picks a format; see the module docstring for the rule.
 
-
-def _render(fmt: str, doc: dict, header: list[str], rows: list[list[str]],
-            head: list[str] = (), tail: list[str] = ()) -> str:
-    """The one place that picks a format; see the module docstring for the rule."""
+    ``doc()`` is called for JSON alone and ``rows()``, the grid's cells row by
+    row, for the table and CSV alone.  The table calls ``rows()`` twice, for
+    its widths and then for its blocks, so it holds one block's cells at most.
+    """
     if fmt == "json":
         import json
 
-        return json.dumps(doc, indent=2) + "\n"
+        yield json.dumps(doc(), indent=2) + "\n"
+        return
     if fmt == "csv":
         import csv
         import io
 
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        body, mark = buf.getvalue(), "# "
+        def block(grid: Iterable[list[str]]) -> str:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(grid)
+            return buf.getvalue()
+
+        mark = "# "
     else:
-        body, mark = _table(header, rows), ""
-    return ("".join(f"{mark}{line}\n" for line in head) + body
-            + "".join(f"{mark}{line}\n" for line in tail))
+        widths = list(map(len, header))
+        for row in rows():
+            widths = list(map(max, widths, map(len, row)))
+
+        def block(grid: Iterable[list[str]]) -> str:
+            return "".join(["  ".join(map(str.ljust, row, widths)).rstrip() + "\n"
+                            for row in grid])
+
+        mark = ""
+    yield "".join(f"{mark}{line}\n" for line in head)
+    grid = chain([header], rows())
+    while text := block(islice(grid, _BLOCK_ROWS)):
+        yield text
+    yield "".join(f"{mark}{line}\n" for line in tail)
 
 
 def render_rank(report: RankReport, classes: dict[int, str] | None, fmt: str) -> str:
@@ -76,20 +92,23 @@ def render_rank(report: RankReport, classes: dict[int, str] | None, fmt: str) ->
     "class" key in JSON.
     """
     header = ["node"] + (["class"] if classes else []) + ["imc", "imc_decimal"]
-    rows, items = [], []
-    for entry in report.entries:
-        cells, item = [str(entry.node)], {"node": entry.node}
-        if classes:
-            cells.append(classes.get(entry.node, "-"))
-            if entry.node in classes:
-                item["class"] = classes[entry.node]
-        cells += [str(entry.imc), decimal6(entry.imc)]
-        item["imc"], item["imc_decimal"] = cells[-2:]
-        rows.append(cells)
-        items.append(item)
+
+    def item(entry: ImcEntry) -> dict:
+        out = {"node": entry.node}
+        if classes and entry.node in classes:
+            out["class"] = classes[entry.node]
+        out["imc"], out["imc_decimal"] = str(entry.imc), decimal6(entry.imc)
+        return out
+
+    def cells(entry: ImcEntry) -> list[str]:
+        klass = [classes.get(entry.node, "-")] if classes else []
+        return [str(entry.node), *klass, str(entry.imc), decimal6(entry.imc)]
+
     phi_s, length_s = str(report.phi), str(report.avg_path_length)
-    doc = {"phi": phi_s, "avg_path_length": length_s, "entries": items}
-    return _render(fmt, doc, header, rows, head=[f"phi {phi_s}", f"L {length_s}"])
+    return "".join(_render(
+        fmt, lambda: {"phi": phi_s, "avg_path_length": length_s,
+                      "entries": list(map(item, report.entries))},
+        header, lambda: map(cells, report.entries), head=[f"phi {phi_s}", f"L {length_s}"]))
 
 
 def render_phi(phi: Fraction, length: Fraction | None, fmt: str) -> str:
@@ -100,24 +119,33 @@ def render_phi(phi: Fraction, length: Fraction | None, fmt: str) -> str:
     row = list(doc.values())
     if fmt == "table":
         return "".join(f"{key} {value}\n" for key, value in zip(header, row))
-    return _render(fmt, doc, header, [row])
+    return "".join(_render(fmt, lambda: doc, header, lambda: [row]))
 
 
-def render_verify(report: VerifyReport, fmt: str) -> str:
+def verify_blocks(report: VerifyReport, fmt: str) -> Iterator[str]:
+    """``render_verify``'s text in blocks, to be written one at a time."""
     header = ["spec", "class", "analytic", "engine", "match"]
-    rows, items = [], []
-    for row in report.rows:
-        cells = [row.spec, row.check, str(row.analytic), str(row.engine)]
-        items.append(dict(zip(header, cells), match=row.match))
-        rows.append(cells + ["yes" if row.match else "NO"])
     total, mismatches = report.total, report.mismatches
-    doc = {
-        "rows": items,
-        "notes": list(report.notes),
-        "violations": list(report.violations),
-        "summary": {"total": total, "mismatches": mismatches},
-    }
+
+    def doc() -> dict:
+        return {
+            "rows": [{"spec": row.spec, "class": row.check, "analytic": str(row.analytic),
+                      "engine": str(row.engine), "match": row.match} for row in report.rows],
+            "notes": list(report.notes),
+            "violations": list(report.violations),
+            "summary": {"total": total, "mismatches": mismatches},
+        }
+
+    def rows() -> Iterator[list[str]]:
+        for row in report.rows:
+            yield [row.spec, row.check, str(row.analytic), str(row.engine),
+                   "yes" if row.match else "NO"]
+
     tail = [f"note: {note}" for note in report.notes]
     tail += [f"violation: {violation}" for violation in report.violations]
     tail.append(f"summary total={total} mismatches={mismatches}")
     return _render(fmt, doc, header, rows, tail=tail)
+
+
+def render_verify(report: VerifyReport, fmt: str) -> str:
+    return "".join(verify_blocks(report, fmt))

@@ -10,6 +10,11 @@ roles (``expected_order()``).  Its closed forms are looked up by name as
 ``closed_forms.phi_<name>`` and ``closed_forms.imc_<name>[_<variant>]`` at
 call time.  A broken ordering is a violation; a known exception ("not >") is
 reported as a note with the exact values rather than counted as a mismatch.
+
+A grid is checked one chunk of consecutive specs at a time, each chunk at
+most ``_CHUNK`` nodes plus edges (or one larger spec): its graphs are
+generated, ranked in one ``rank_graphs`` call, checked and dropped before
+the next chunk is built.  Only the report's rows grow with the grid.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from typing import Iterator
 
 from . import closed_forms as cf
 from .agglomeration import RankReport, rank_graphs
@@ -30,6 +36,10 @@ from .families import FAMILIES, MAX_SIZE, FamilySpec, LabeledGraph, NodeClass, g
 DEFAULT_GRIDS: dict[str, dict[str, tuple[int, int]]] = {
     name: cls.GRID for name, cls in FAMILIES.items()
 }
+
+# The nodes plus edges of the specs that one chunk generates and ranks
+# together.  The default lollipop grid, 2,331, is one chunk, so it forks once.
+_CHUNK = 4096
 
 _RELATIONS = {">": operator.gt, "==": operator.eq, "not >": operator.le}
 
@@ -149,22 +159,39 @@ def _check_spec(lg: LabeledGraph, ranking: RankReport, report: VerifyReport) -> 
     _ordering_checks(spec, values, report)
 
 
+def _chunks(specs: list[FamilySpec]) -> Iterator[list[FamilySpec]]:
+    # Runs of consecutive specs of at most _CHUNK nodes plus edges; a larger
+    # spec is a chunk of its own.
+    chunk, size = [], 0
+    for spec in specs:
+        if chunk and size + spec.order + spec.size > _CHUNK:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(spec)
+        size += spec.order + spec.size
+    if chunk:
+        yield chunk
+
+
 def verify_family(
     family: str,
     ranges: dict[str, tuple[int, int]] | None = None,
     *,
     jobs: int = 1,
 ) -> VerifyReport:
-    """Check one family over a grid.
+    """Check one family over a grid, one chunk of specs at a time.
 
-    Specs whose graph is a tree (paths, comets, double comets) are ranked
-    without contracting and never fork; the contractions of every other
-    spec's ranking are shared among up to ``jobs`` worker processes, as in
-    ``imc_all``.  The report is identical for every value of ``jobs``.
+    Each chunk's graphs are generated, ranked, checked and dropped before the
+    next chunk is built, so a grid holds no more than one chunk's graphs and
+    rankings at once.  Specs whose graph is a tree (paths, comets, double
+    comets) are ranked without contracting and never fork; the contractions
+    of every other spec in a chunk are shared among up to ``jobs`` worker
+    processes, as in ``imc_all``.  The report is identical for every value of
+    ``jobs``.
     """
-    labeled = [generate(spec) for spec in grid_specs(family, resolve_ranges(family, ranges))]
-    rankings = rank_graphs([lg.graph for lg in labeled], jobs=jobs)
     report = VerifyReport(rows=[], notes=[], violations=[])
-    for lg, ranking in zip(labeled, rankings):
-        _check_spec(lg, ranking, report)
+    for chunk in _chunks(grid_specs(family, resolve_ranges(family, ranges))):
+        labeled = [generate(spec) for spec in chunk]
+        for lg, ranking in zip(labeled, rank_graphs([lg.graph for lg in labeled], jobs=jobs)):
+            _check_spec(lg, ranking, report)
     return report

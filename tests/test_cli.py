@@ -17,14 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agglorank import agglomeration, cli, contraction, graph, verify
+from agglorank import agglomeration, cli, contraction, graph, reports, verify
 from agglorank.cli import _range_arg, main
 from agglorank.contraction import contract, contract_text
 from agglorank.errors import EdgeListError
 from agglorank.families import (FAMILIES, MAX_SIZE, LollipopSpec, NodeClass, PathSpec, generate,
                                  read_labeled, write_labeled)
 from agglorank.graph import from_edge_list, parse_edge_list, to_edge_list
-from agglorank.reports import decimal6
+from agglorank.reports import FORMATS, decimal6, render_verify
 from agglorank.verify import grid_specs
 
 from conftest import child_env
@@ -675,6 +675,10 @@ _HOSTILE = {
     "long order header": (f"# n={_LONG}\n0 1\n".encode(), ("rank", "phi", "contract"), 2),
     "long class id": (f"# class {_LONG} x\n0 1\n".encode(), ("rank",), 2),
     "long node id": (f"0 1\n1 {_LONG}\n".encode(), ("rank", "phi", "contract"), 2),
+    # The longest id int() reads: 1 + it is an order too long for str() to write.
+    "long node id that int() reads": (
+        f"0 1\n1 {_LONG[1:]}\n".encode(), ("rank", "phi", "contract"), 3),
+    "long third field": (f"0 1\n1 2 {_LONG}\n".encode(), ("rank", "phi", "contract"), 2),
     "lone huge order header": (b"# n=1000000000000\n", ("rank", "phi", "contract"), 3),
     "labeled text under a huge order header": (
         (write_labeled(generate(PathSpec(4))) + "# n=1000000\n").encode(),
@@ -697,6 +701,7 @@ def test_hostile_input_exits_with_one_error_line(capsys, tmp_path, case, command
                          *TestConnectivityPrecondition.ARGS[command])
     assert (code, out) == (expected, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert len(err) < 200  # a long field is named by its length, not quoted
 
 
 class TestVerify:
@@ -763,6 +768,34 @@ class TestVerify:
         assert err.startswith("error: the ")
         assert f"nodes plus edges; verify builds at most {MAX_SIZE}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_stdout_is_the_rendered_report_written_in_blocks(self, capsys, fmt):
+        # 5,929 rows: the table and CSV grids span two blocks.
+        ranges = {"a": (2, 8), "b": (2, 8), "k": (4, 14)}
+        report = verify.verify_family("double_comet", ranges)
+        assert report.total > reports._BLOCK_ROWS
+        if fmt != "json":
+            assert len(list(reports.verify_blocks(report, fmt))) == 4  # head, 2 blocks, tail
+        code, out, err = run(capsys, "verify", "double-comet", "--a", "2..8", "--b", "2..8",
+                             "--k", "4..14", "--format", fmt)
+        assert (code, out, err) == (0, render_verify(report, fmt), "")
+
+    def test_peak_memory_stays_near_one_chunk(self, tmp_path):
+        # verify generates, ranks and checks one chunk of specs at a time and
+        # writes its table in blocks, so only the report's rows grow with the
+        # grid.  P(4)..P(300) peaked at about 1.2 MB traced; holding every
+        # graph and ranking of the grid, and the rendered rows, it read 16.2 MB.
+        out = str(tmp_path / "verify.txt")
+        main(["verify", "path", "--n", "4..5", "--output", out])  # imports
+        tracemalloc.start()
+        try:
+            code = main(["verify", "path", "--n", "4..300", "--jobs", "1", "--output", out])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 3_000_000, f"verify peak {peak} B"
 
     def test_ordering_violation_exit_4(self, capsys, monkeypatch):
         monkeypatch.setattr(PathSpec, "expected_order",

@@ -455,6 +455,76 @@ def test_a_long_order_too_large_to_connect_is_named_by_its_digits(digits):
         == f"1 edges cannot connect {nodes} nodes (ids not dense?): a node is unreachable"
 
 
+_NINES = "9" * 4000
+
+# A line-path fault in a field far longer than a message should quote, and the
+# message that names it by its length: (text, message, line).
+_LONG_FIELDS = [
+    ("0 1\n1 2 " + "9" * 5000 + "\n", "expected two node ids, got a line of 5004 characters", 2),
+    ("0 1\n1 x" + "9" * 5000 + "\n", "non-integer node id in a line of 5003 characters", 2),
+    (f"0 1\n-{_NINES} 2\n", "negative node id in '-<4000 digits> 2'", 2),
+    (f"0 1\n-1 {_NINES}\n", "negative node id in '-1 <4000 digits>'", 2),
+    (f"# n=5\n0 1\n1 {_NINES}\n", "node id <4000 digits> outside declared order n=5", 3),
+    (f"# n={_NINES}\n0 1\n1 {_NINES}0\n",
+     "node id <4001 digits> outside declared order n=<4000 digits>", 3),
+    (f"0 1\n{_NINES} {_NINES}\n", "self-loop at node <4000 digits>", 2),
+    (f"0 1\n1 {_NINES}\n{_NINES} 1\n", "duplicate edge <4000 digits> 1", 3),
+]
+
+
+@pytest.mark.parametrize("text,message,line", _LONG_FIELDS,
+                         ids=["three ids", "non-integer", "negative first", "negative second",
+                              "outside order", "outside long order", "self-loop", "duplicate"])
+def test_a_long_field_is_named_by_its_length(text, message, line):
+    for connected in (False, True):
+        with pytest.raises(EdgeListError) as info:
+            parse_edge_list(text, connected=connected)
+        assert (str(info.value), info.value.line) == (f"line {line}: {message}", line)
+    assert_paths_agree(text)
+
+
+def test_a_line_of_80_characters_is_still_quoted():
+    line = "1 2 " + "3" * 76
+    with pytest.raises(EdgeListError, match=f"^line 2: expected two node ids, got {line!r}$"):
+        parse_edge_list(f"0 1\n{line}\n")
+
+
+def test_a_long_class_id_is_named_by_its_digits():
+    classes = graph.scan_class_comments(f"# class {_NINES} x\n0 1\n")
+    with pytest.raises(EdgeListError, match="^class comment for unknown node <4000 digits>$"):
+        graph.check_class_nodes(classes, 2)
+    with pytest.raises(EdgeListError,
+                       match="^line 2: repeated class comment for node <4000 digits>$"):
+        graph.scan_class_comments(f"# class {_NINES} x\n# class {_NINES} y\n")
+
+
+@pytest.mark.parametrize("text,order", [
+    (f"# n={_NINES}\n0 1\n", "<4000 digits>"),
+    (f"0 1\n1 {_NINES}\n", "<4001 digits>"),  # the order is 1 + the largest id
+    (f"0 1\n1 {sys.maxsize}\n", str(sys.maxsize + 1)),
+], ids=["long header", "long id", "id of sys.maxsize"])
+def test_an_order_too_large_for_a_tuple_is_an_edge_list_error(text, order):
+    # Without connected nothing refuses the order before the build, which
+    # would raise OverflowError or MemoryError; it is refused first.
+    with pytest.raises(EdgeListError, match=f"^order {order} is too large for a graph$"):
+        parse_edge_list(text)
+    assert_paths_agree(text)
+
+
+def test_from_edge_list_refuses_an_order_too_large_for_a_tuple():
+    for edges, n in (([(0, 1)], 10**30), ([(0, 10**30)], None)):
+        with pytest.raises(EdgeListError, match="^order <31 digits> is too large for a graph$"):
+            from_edge_list(edges, n)
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int() reads any length")
+def test_an_order_one_digit_longer_than_str_writes_is_named_by_its_digits():
+    # The longest id int() reads makes an order str() refuses to write.
+    digits = sys.get_int_max_str_digits()
+    with pytest.raises(ConnectivityError, match=f"cannot connect a {digits + 1}-digit number of"):
+        parse_edge_list(f"0 1\n1 {'9' * digits}\n", connected=True)
+
+
 def test_nodes_in_no_edge_share_the_empty_row():
     # A "# n=" header far above the edges makes no list per node: the graph
     # is its tuple of rows, one pointer each, all but two the shared ().  The

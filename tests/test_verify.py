@@ -3,11 +3,12 @@ limit, a family added from outside, parallel determinism."""
 
 import pytest
 
-from agglorank import agglomeration, closed_forms
+from agglorank import agglomeration, closed_forms, verify
 from agglorank.errors import FormulaDomainError
 from agglorank.families import FAMILIES, MAX_SIZE, PathSpec
 from agglorank.reports import FORMATS, render_verify
 from agglorank.verify import (
+    DEFAULT_GRIDS,
     VerifyReport,
     VerifyRow,
     _ordering_checks,
@@ -112,6 +113,37 @@ def test_parallel_report_matches_serial(cpus, forks):
     parallel = verify_family("lollipop", jobs=4)
     assert len(forks) == 3
     assert serial == parallel
+
+
+@pytest.mark.parametrize("family", sorted(DEFAULT_GRIDS))
+def test_a_report_is_the_same_for_any_chunk_bound(monkeypatch, family):
+    monkeypatch.setattr(verify, "_CHUNK", MAX_SIZE)
+    whole = verify_family(family)  # the grid as one chunk
+    monkeypatch.setattr(verify, "_CHUNK", 1)  # one spec to a chunk
+    assert verify_family(family) == whole
+    monkeypatch.undo()
+    assert verify_family(family) == whole
+
+
+def test_a_grid_is_ranked_one_chunk_at_a_time(monkeypatch):
+    ranges = {"d": (4, 16), "nd": (2, 12)}
+    specs = grid_specs("lollipop", ranges)
+    assert sum(spec.order + spec.size for spec in specs) > 2 * verify._CHUNK
+    chunks = []
+
+    def spy(graphs, *, jobs):
+        chunks.append([g.n for g in graphs])
+        assert len(graphs) == 1 or sum(g.n + g.edge_count() for g in graphs) <= verify._CHUNK
+        return rank(graphs, jobs=jobs)
+
+    rank = verify.rank_graphs
+    monkeypatch.setattr(verify, "rank_graphs", spy)
+    report = verify_family("lollipop", ranges)
+    assert len(chunks) > 2
+    assert sum(chunks, []) == [spec.order for spec in specs]  # each spec once, in grid order
+    monkeypatch.setattr(verify, "_CHUNK", MAX_SIZE)
+    assert verify_family("lollipop", ranges) == report
+    assert chunks[-1] == [spec.order for spec in specs]  # the whole grid in one call
 
 
 def test_mismatch_accounting():
