@@ -32,6 +32,7 @@ from typing import NamedTuple, NoReturn
 from .contraction import contract
 from .errors import DegenerateOrderError
 from .graph import Graph, _frozen, _peel, distance_sum
+from .options import usable_cpus
 
 Rational = Fraction
 
@@ -142,15 +143,6 @@ def imc(g: Graph, v: int) -> ImcEntry:
     if g.n < 2:
         raise DegenerateOrderError("importance requires at least two nodes")
     return _entry(v, phi(g), *_contracted_sum((g, v)))
-
-
-def usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    import os
-
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 # Contracting every node of a graph of order n costs about n^2 steps of the

@@ -10,19 +10,21 @@ Exit codes: 0 success, 2 usage or parse error, 3 connectivity error,
 
 from __future__ import annotations
 
-# Each command loads only what it runs.  rank, phi and contract need the
-# engine, the parser and the reports; the family registry (families) is
-# imported only by gen, verify and a parser that builds their family
-# subcommands, and verify's closed forms only by verify.  The package's own
-# modules come first: without cached bytecode each one is compiled at
-# start-up, and compiling them before argparse and the rest are resident
-# keeps the start's peak memory down.
-from .agglomeration import imc_all, phi_and_length, usable_cpus
+# Each command loads only what it runs.  Every command loads this module,
+# graph, contraction, errors and options (the output formats and the CPU
+# count the parser offers); contract needs no more.  rank and phi import the
+# engine (agglomeration, with fractions) and the reports in the command, gen
+# the family registry (families), and verify the registry, the harness
+# (verify), the closed forms, the engine and the reports.  The family
+# subcommands are built only by a parser for gen, verify or no command.  The
+# package's own modules come first: without cached bytecode each one is
+# compiled at start-up, and compiling them before argparse and the rest are
+# resident keeps the start's peak memory down.
 from .contraction import contract, contract_text
 from .errors import AggloRankError, ConnectivityError, EdgeListError, FamilyParameterError
 from .graph import (_WRITE_NODES, _edge_lines, bfs_distances, check_class_nodes,
                     parse_edge_list, scan_class_comments)
-from .reports import FORMATS, render_phi, render_rank, verify_blocks
+from .options import FORMATS, usable_cpus
 
 import argparse
 import re
@@ -39,15 +41,12 @@ EXIT_MISMATCH = 4
 _RANGE = re.compile(r"([0-9]+)(?:\.\.([0-9]+))?")
 
 
-def _family_commands() -> dict[str, tuple[type, list[str]]]:
+def _family_commands() -> dict[str, tuple[type, tuple[str, ...]]]:
     # Each family subcommand, the registry's name with hyphens: its spec class
     # and the names of the spec's fields, in order.
-    from dataclasses import fields
-
     from .families import FAMILIES
 
-    return {name.replace("_", "-"): (cls, [f.name for f in fields(cls)])
-            for name, cls in FAMILIES.items()}
+    return {name.replace("_", "-"): (cls, cls.__slots__) for name, cls in FAMILIES.items()}
 
 
 def _range_arg(text: str) -> tuple[int, int]:
@@ -95,6 +94,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
+    from .agglomeration import imc_all
+    from .reports import render_rank
+
     text, g = _read_graph(args)
     classes = scan_class_comments(text)
     check_class_nodes(classes, g.n)
@@ -104,6 +106,9 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_phi(args: argparse.Namespace) -> int:
+    from .agglomeration import phi_and_length
+    from .reports import render_phi
+
     _, g = _read_graph(args)
     value, length = phi_and_length(g)
     _emit(args, [render_phi(value, length, args.format)])
@@ -144,7 +149,8 @@ def _contraction_blocks(n: int, row: Callable[[int], Sequence[int]],
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import verify_family  # only verify needs the closed forms
+    from .reports import verify_blocks
+    from .verify import verify_family
 
     cls, _ = _family_commands()[args.family]
     ranges = {name: getattr(args, name) for name in cls.GRID if getattr(args, name) is not None}

@@ -197,43 +197,50 @@ def _flat_rows(ids: array, n: int) -> Callable[[int], array] | None:
     """``row(u)``, the ascending neighbours of u in the n-node graph whose
     edges are ids = u0, w0, u1, w1, ...
 
-    Row u is ``nbr[start[u]:start[u + 1]]`` (CSR): one array of row offsets,
-    counted from the degrees, and one of neighbours.  Each edge goes into both
-    its rows in the order of ids, so the rows of canonical text, whose lines
-    ascend with the smaller end first, ascend too and are not sorted.  Any
-    other order is sorted by one transposing pass, which builds no list per
-    unsorted row.  ids is emptied once the rows hold its edges, so that the
-    pass does not hold it too.  None when a self-loop or a duplicate leaves a
-    repeat in some row.
+    Row u is ``nbr[start[u]:start[u + 1]]`` (CSR): one array of row offsets
+    and one of neighbours.  The offsets start as the row ends, the degrees
+    accumulated.  Each edge goes into both its rows from the last edge back,
+    and a row's offset steps down as it fills, so that the filled offsets are
+    the row starts and each row holds its entries in the order of ids; no
+    cursor array is made.  So the rows of canonical text, whose lines ascend
+    with the smaller end first, ascend too and are not sorted.  Any other
+    order is sorted by one transposing pass, which fills the same way and
+    builds no list per unsorted row.  ids is emptied once the rows hold its
+    edges, so that the pass does not hold it too.  None when a self-loop or a
+    duplicate leaves a repeat in some row.
     """
     from array import array
 
     degree = [0] * n  # a list: degrees are small ints, which are not made anew
     for u in ids:
         degree[u] += 1
-    start = array(_ID, accumulate(degree, initial=0))
+    start = array(_ID, accumulate(degree))
     del degree
-    at = start[:-1]  # where the next entry of each row goes
     nbr = array(_ID, [0]) * len(ids)
-    pairs = iter(ids)
-    for u, w in zip(pairs, pairs):
-        i = at[u]
+    pairs = reversed(ids)
+    for w, u in zip(pairs, pairs):
+        i = start[u] - 1
         nbr[i] = w
-        at[u] = i + 1
-        i = at[w]
+        start[u] = i
+        i = start[w] - 1
         nbr[i] = u
-        at[w] = i + 1
+        start[w] = i
+    start.append(len(nbr))
     del ids[:]
     if not _ascending(start, nbr):
-        # Entry w of row u puts u in row w.  The rows are read from the
-        # first down, so each row is filled in ascending order.
-        owners = chain.from_iterable(map(repeat, count(), map(sub, start[1:], start)))
-        transposed, at = array(_ID, [0]) * len(nbr), start[:-1]
-        for u, w in zip(owners, nbr):
-            i = at[w]
+        # Entry w of row u puts u in row w.  The entries are read from the
+        # last back, so their owners u descend and each row fills from its
+        # end down, ascending.  The owners are counted from the offsets in
+        # place; the ends, one copy, step down to the row starts.
+        lengths = map(sub, reversed(start), islice(reversed(start), 1, None))
+        owners = chain.from_iterable(map(repeat, range(n - 1, -1, -1), lengths))
+        transposed, ends = array(_ID, [0]) * len(nbr), start[1:]
+        for u, w in zip(owners, reversed(nbr)):
+            i = ends[w] - 1
             transposed[i] = u
-            at[w] = i + 1
+            ends[w] = i
         nbr = transposed
+        del ends
         if not _ascending(start, nbr):
             return None
     return lambda u: nbr[start[u]:start[u + 1]]
@@ -241,8 +248,7 @@ def _flat_rows(ids: array, n: int) -> Callable[[int], array] | None:
 
 def _ascending(start: array, nbr: array) -> bool:
     # Whether each row strictly ascends: every entry not above the one before
-    # it starts a row.
-    head = bytearray(len(nbr) + 1)
-    for i in start:
-        head[i] = 1
-    return all(map(head.__getitem__, compress(count(1), map(ge, nbr, islice(nbr, 1, None)))))
+    # it starts a row.  Those entries and the row starts both come in
+    # ascending order, so each is looked for by reading on in the starts.
+    starts = iter(start)
+    return all(i in starts for i in compress(count(1), map(ge, nbr, islice(nbr, 1, None))))

@@ -9,7 +9,10 @@ included).  ``FAMILIES`` maps each name to its class; ``generate``, labeled
 I/O, ``verify`` and the CLI are all derived from it.  A family's closed forms
 are ``closed_forms.phi_<name>`` and ``closed_forms.imc_<name>``, called with
 the spec's fields in order, plus ``closed_forms.imc_<name>_<variant>`` for
-each further transcription named in ``IMC_VARIANTS``.
+each further transcription named in ``IMC_VARIANTS``.  A spec's fields are
+the names in its class's ``__slots__``; the specs, ``LabeledGraph`` and
+verify's rows and report are hand-written value classes on one base
+(``_Record``), so that ``gen`` and ``verify`` load no ``dataclasses``.
 
 Node numbering follows each family's conventional labeling so that ids, roles
 and figures line up, and is a stability guarantee:
@@ -34,13 +37,12 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, fields
 from typing import ClassVar
 
 from .errors import EdgeListError, FamilyParameterError
-from .graph import (_CLASS_LINE, _WRITE_NODES, Graph, _check_node, _int_field, _matching_lines,
-                    check_class_nodes, from_edge_list, parse_edge_list, scan_class_comments,
-                    to_edge_list)
+from .graph import (_CLASS_LINE, _WRITE_NODES, Graph, _check_node, _frozen, _int_field,
+                    _matching_lines, _set, check_class_nodes, from_edge_list, parse_edge_list,
+                    scan_class_comments, to_edge_list)
 
 
 class NodeClass(enum.Enum):
@@ -78,18 +80,78 @@ def _chain(*roles: NodeClass) -> list[Relation]:
     return [(upper, ">", lower) for upper, lower in zip(roles, roles[1:])]
 
 
-class FamilySpec:
-    """Base of the family spec dataclasses.
+class _Record:
+    """A value class whose fields are its ``__slots__``, in order, as a
+    dataclass's are its annotated names, without loading ``dataclasses``.
 
-    A subclass sets ``NAME``, ``ABBREV`` (for ``label()``), ``ROLES`` (the
+    It is made by position or by keyword, each field once, and then checked
+    by ``_check()``.  It equals only a value of its own class with equal
+    fields, shows as ``Name(field=value, ...)`` and pickles by its fields.
+    ``_FrozenRecord`` also refuses to assign or delete a field, as a frozen
+    dataclass does (``graph._frozen``), and hashes by its fields.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        name, fields = type(self).__name__, self.__slots__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields but {len(args)} were given")
+        for field, value in zip(fields, args):
+            if field in kwargs:
+                raise TypeError(f"{name}() got multiple values for field {field!r}")
+            _set(self, field, value)
+        for field in fields[len(args):]:
+            if field not in kwargs:
+                raise TypeError(f"{name}() missing field {field!r}")
+            _set(self, field, kwargs.pop(field))
+        if kwargs:
+            raise TypeError(f"{name}() got an unexpected field {next(iter(kwargs))!r}")
+        self._check()
+
+    def _check(self) -> None:
+        """Refuse field values that make no value of this class."""
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        pairs = (f"{field}={value!r}" for field, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({', '.join(pairs)})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class _FrozenRecord(_Record):
+    __slots__ = ()
+    __setattr__ = __delattr__ = _frozen
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class FamilySpec(_FrozenRecord):
+    """Base of the family spec classes.
+
+    A subclass names its parameters, in order, in ``__slots__``: they are its
+    fields, the closed forms' arguments, the CLI's options and the ``# family``
+    line's keys.  It sets ``NAME``, ``ABBREV`` (for ``label()``), ``ROLES`` (the
     verify row order), ``GRID`` (default verify ranges per grid parameter,
     lower bounds being the formula floors) and, where a grid parameter needs
     one, its help text in ``GRID_HELP``; it implements ``build()`` and
     ``expected_order()``.  ``IMC_VARIANTS`` names further transcriptions of
     the importance formulas that verify checks too; a family whose orderings
     have a "not >" exception sets the note verify prints for it in
-    ``EXCEPTION_NOTE``.
+    ``EXCEPTION_NOTE``.  ``_check()`` refuses a spec outside the family.
     """
+
+    __slots__ = ()
 
     NAME: ClassVar[str]
     ABBREV: ClassVar[str]
@@ -115,13 +177,13 @@ class FamilySpec:
 
     def params(self) -> tuple[int, ...]:
         """Field values in declaration order, as the closed forms take them."""
-        return tuple(getattr(self, f.name) for f in fields(self))
+        return self._values()
 
     def label(self) -> str:
         return f"{self.ABBREV}({','.join(map(str, self.params()))})"
 
     def comment_fields(self) -> str:
-        pairs = (f"{f.name}={getattr(self, f.name)}" for f in fields(self))
+        pairs = map("{}={}".format, self.__slots__, self.params())
         return " ".join((self.NAME, *pairs))
 
     def build(self) -> tuple[list[tuple[int, int]], list[NodeClass]]:
@@ -133,15 +195,14 @@ class FamilySpec:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class PathSpec(FamilySpec):
     NAME, ABBREV = "path", "P"
     ROLES = (NodeClass.PATH_END, NodeClass.PATH_INNER)
     GRID = {"n": (4, 40)}
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
+    def _check(self):
         if self.n < 2:
             raise FamilyParameterError(f"path requires n >= 2, got n={self.n}")
 
@@ -155,7 +216,6 @@ class PathSpec(FamilySpec):
         return _chain(NodeClass.PATH_INNER, NodeClass.PATH_END)
 
 
-@dataclass(frozen=True)
 class CometSpec(FamilySpec):
     """Star with s leaves whose center closes one end of a handle of t nodes."""
 
@@ -168,10 +228,9 @@ class CometSpec(FamilySpec):
     )
     GRID = {"s": (3, 10), "t": (4, 12)}
 
-    s: int
-    t: int
+    __slots__ = ("s", "t")
 
-    def __post_init__(self):
+    def _check(self):
         if self.s < 1:
             raise FamilyParameterError(f"comet requires s >= 1, got s={self.s}")
         if self.t < 1:
@@ -197,7 +256,6 @@ class CometSpec(FamilySpec):
                       NodeClass.COMET_PATH_END, NodeClass.COMET_STAR_LEAF)
 
 
-@dataclass(frozen=True)
 class DoubleCometSpec(FamilySpec):
     """Path of n-a-b nodes with a pendants on one end and b on the other."""
 
@@ -213,11 +271,9 @@ class DoubleCometSpec(FamilySpec):
     GRID_HELP = {"k": "connecting path length"}
     IMC_VARIANTS = ("condensed",)
 
-    n: int
-    a: int
-    b: int
+    __slots__ = ("n", "a", "b")
 
-    def __post_init__(self):
+    def _check(self):
         if self.a < 1:
             raise FamilyParameterError(f"double comet requires a >= 1, got a={self.a}")
         if self.b < 1:
@@ -262,7 +318,6 @@ class DoubleCometSpec(FamilySpec):
         return _chain(end_a, end_b, NodeClass.DC_INNER, leaf_b, leaf_a)
 
 
-@dataclass(frozen=True)
 class LollipopSpec(FamilySpec):
     """Complete graph on n-d nodes with a tail of d nodes hanging off it."""
 
@@ -279,10 +334,9 @@ class LollipopSpec(FamilySpec):
     EXCEPTIONS = {(7, 4), (8, 5)}
     EXCEPTION_NOTE = "clique nodes do not outrank inner tail nodes here"
 
-    n: int
-    d: int
+    __slots__ = ("n", "d")
 
-    def __post_init__(self):
+    def _check(self):
         if self.d < 2:
             raise FamilyParameterError(f"lollipop requires d >= 2, got d={self.d}")
         if self.n - self.d < 1:
@@ -326,11 +380,11 @@ FAMILIES: dict[str, type[FamilySpec]] = {
 }
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
-    graph: Graph
-    classes: tuple[NodeClass, ...]
-    spec: FamilySpec
+class LabeledGraph(_FrozenRecord):
+    """A family ``graph``, the tuple of its nodes' roles (``classes``, a
+    ``NodeClass`` per node) and the ``spec`` it was generated from."""
+
+    __slots__ = ("graph", "classes", "spec")
 
 
 def generate(spec: FamilySpec) -> LabeledGraph:
@@ -368,7 +422,7 @@ def _spec_from_fields(name: str, text: str) -> FamilySpec:
             raise EdgeListError(f"family {name} repeats parameter {key!r}")
         values[key] = _int_field(value, f"family {name} parameter {key!r}")
     try:
-        spec = {f.name: values.pop(f.name) for f in fields(cls)}
+        spec = {field: values.pop(field) for field in cls.__slots__}
     except KeyError as missing:
         raise EdgeListError(f"family {name} is missing parameter {missing}") from None
     if values:

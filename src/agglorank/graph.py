@@ -29,8 +29,8 @@ blocks of ``_edge_lines`` one at a time.
 The "# class <id> <label>" lines of labeled text are found here too
 (``scan_class_comments``), by one search of the text, so ``rank`` reads
 them without the family registry, which imports the scan back.  ``Graph`` is
-frozen by ``_frozen``, as are the result records of the engine, without
-importing ``dataclasses``.
+frozen by ``_frozen``, as are the result records of the engine and the
+records of ``families`` and ``verify``, without importing ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -46,9 +46,10 @@ from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 from .errors import ConnectivityError, DegenerateOrderError, EdgeListError
 
 _ORDER_HEADER = re.compile(r"#\s*n\s*=\s*([0-9]+)\s*$")
-# A node id on the line path: ASCII decimal, with a sign only to be refused as
-# negative.  int() alone also reads "+1", "1_0" and non-ASCII digits.
-_NODE_ID = re.compile(r"-?[0-9]+")
+# A node id on the line path: ASCII decimal, with a sign only on a nonzero id,
+# to be refused as negative; "-0" is no id.  int() alone also reads "+1",
+# "1_0", "-0" and non-ASCII digits.
+_NODE_ID = re.compile(r"[0-9]+|-0*[1-9][0-9]*")
 # The line breaks of str.splitlines() other than "\n".
 _LINE_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # One whole line of plain text: "u v" in ASCII digits, or a comment that starts

@@ -18,16 +18,18 @@ time, and ``render_verify`` joins them.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from .agglomeration import ImcEntry, RankReport
+# The formats _render picks from.  They are defined in options, which the
+# parser reads without loading this module.
+from .options import FORMATS  # noqa: F401
 
 if TYPE_CHECKING:
-    from .verify import VerifyReport
+    from fractions import Fraction
 
-FORMATS = ("table", "csv", "json")
+    from .agglomeration import ImcEntry, RankReport
+    from .verify import VerifyReport
 
 _SCALE = 10**6
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Iterator
@@ -29,7 +28,8 @@ from typing import Iterator
 from . import closed_forms as cf
 from .agglomeration import RankReport, rank_graphs
 from .errors import FamilyParameterError, FormulaDomainError
-from .families import FAMILIES, MAX_SIZE, FamilySpec, LabeledGraph, NodeClass, generate
+from .families import (FAMILIES, MAX_SIZE, FamilySpec, LabeledGraph, NodeClass, _FrozenRecord,
+                       _Record, generate)
 
 # Default grids; lower bounds double as the hard floor below which the
 # importance formulas are not established and verification refuses to run.
@@ -44,24 +44,25 @@ _CHUNK = 4096
 _RELATIONS = {">": operator.gt, "==": operator.eq, "not >": operator.le}
 
 
-@dataclass(frozen=True)
-class VerifyRow:
-    spec: str
-    check: str
-    analytic: Fraction
-    engine: Fraction
-    match: bool = field(init=False)
+class VerifyRow(_FrozenRecord):
+    """One check of a spec (its label): the ``analytic`` and ``engine``
+    values and whether they ``match``, which is not passed but computed."""
 
-    def __post_init__(self):
+    __slots__ = ("spec", "check", "analytic", "engine", "match")
+
+    def __init__(self, spec: str, check: str, analytic: Fraction, engine: Fraction) -> None:
         # The two values are compared once, here; the render and the count read the result.
-        object.__setattr__(self, "match", self.analytic == self.engine)
+        super().__init__(spec, check, analytic, engine, analytic == engine)
+
+    def __reduce__(self):
+        return VerifyRow, self._values()[:-1]
 
 
-@dataclass
-class VerifyReport:
-    rows: list[VerifyRow]
-    notes: list[str]
-    violations: list[str]
+class VerifyReport(_Record):
+    """The ``rows`` of a grid, its ``notes`` on known exceptions and its
+    ``violations`` of the expected orderings; mutable, as the check fills it."""
+
+    __slots__ = ("rows", "notes", "violations")
 
     @property
     def total(self) -> int:

@@ -704,6 +704,62 @@ def test_hostile_input_exits_with_one_error_line(capsys, tmp_path, case, command
     assert len(err) < 200  # a long field is named by its length, not quoted
 
 
+@st.composite
+def hostile_texts(draw):
+    """A valid connected edge list with one fault: a long field, a sign, a
+    non-ASCII digit, a NUL or a stray separator in an edge line, or an order
+    header that is wrong, repeated or huge.  Small, so nothing large is built."""
+    n = draw(st.integers(2, 8))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    lines = [f"{u} {v}" for u, v in draw(st.permutations(edges))]
+    at = draw(st.integers(0, len(lines) - 1))
+    line = lines[at]
+    fields = line.split(" ")
+    field = draw(st.integers(0, 1))
+    fault = draw(st.sampled_from(["long field", "sign", "non-ASCII digit", "NUL", "separator",
+                                  "header", "huge order"]))
+    if fault == "long field":
+        long = draw(st.sampled_from("123456789")) + "9" * draw(st.integers(20, 5000))
+        fields = fields + [long] if draw(st.booleans()) else [*fields[:field], long,
+                                                               *fields[field + 1:]]
+    elif fault == "sign":
+        fields[field] = draw(st.sampled_from("+-")) + fields[field]
+    elif fault == "non-ASCII digit":
+        digit = draw(st.characters(categories=["Nd"]).filter(lambda c: not c.isascii()))
+        i = draw(st.integers(0, len(fields[field]) - 1))
+        fields[field] = fields[field][:i] + digit + fields[field][i + 1:]
+    if fault in ("NUL", "separator"):
+        stray = "\x00" if fault == "NUL" else draw(st.sampled_from(",;:|/-+=_.()"))
+        i = draw(st.integers(0, len(line)))
+        lines[at] = line[:i] + stray + line[i:]
+    else:
+        lines[at] = " ".join(fields)
+    if fault == "header":
+        orders = st.integers(0, 2 * n).filter(lambda k: k != n)
+        headers = [f"# n={draw(orders)}"] if draw(st.booleans()) else [f"# n={n}"] * 2
+        for header in headers:
+            lines.insert(draw(st.integers(0, len(lines))), header)
+    elif fault == "huge order":
+        lines.insert(draw(st.integers(0, len(lines))), "# n=" + "9" * draw(st.integers(19, 5000)))
+    return "".join(f"{line}\n" for line in lines)
+
+
+@_ANY_LENGTH
+@given(hostile_texts(), st.sampled_from(sorted(TestConnectivityPrecondition.ARGS)))
+@settings(max_examples=300, deadline=None)
+def test_any_hostile_text_exits_with_one_short_error_line(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp, "hostile.edges")
+        source.write_bytes(text.encode())
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(source), *TestConnectivityPrecondition.ARGS[command]])
+    err = err.getvalue()
+    assert code in (2, 3) and out.getvalue() == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert len(err) <= 200
+
+
 class TestVerify:
     def test_path_ok(self, capsys):
         code, out, _ = run(capsys, "verify", "path", "--n", "4..10")
@@ -882,6 +938,28 @@ class TestStartup:
         # Only contract builds flat arrays (G/v); rank and phi need no array.
         if "array" not in bare:
             assert ("array" in loaded) == (command == "contract")
+
+    @pytest.mark.parametrize("text", [PATH4, "# n=4\n0 1\n1 2\n2 3\n"],
+                             ids=["plain", "parsed"])
+    def test_contract_loads_neither_the_engine_nor_the_reports(self, tmp_path, bare, text):
+        # Plain text contracts from its lines; a header sends it through the
+        # parser of record and contract().  Neither path ranks or renders.
+        source = write(tmp_path, "p4.edges", text)
+        loaded = self.loaded_by(["contract", source, "--node", "1"])
+        for module in ("agglorank.agglomeration", "agglorank.reports", "fractions", "decimal"):
+            if module not in bare:
+                assert module not in loaded
+
+    @pytest.mark.parametrize("command", ["gen", "verify"])
+    def test_gen_and_verify_load_neither_dataclasses_nor_inspect(self, tmp_path, bare, command):
+        out = str(tmp_path / "out.txt")
+        argv = {"gen": ["gen", "double-comet", "--n", "6", "--a", "2", "--b", "2"],
+                "verify": ["verify", "lollipop", "--d", "4", "--nd", "2..3", "--jobs", "1"]}
+        loaded = self.loaded_by([*argv[command], "--output", out])
+        assert "agglorank.families" in loaded
+        for module in ("dataclasses", "inspect"):
+            if module not in bare:
+                assert module not in loaded
 
     def test_gen_and_verify_load_the_family_registry(self, tmp_path):
         out = str(tmp_path / "out.txt")

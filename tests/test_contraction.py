@@ -3,12 +3,14 @@
 import dataclasses
 import pickle
 import random
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agglorank.contraction import ContractionResult, contract
+from agglorank.contraction import ContractionResult, _flat_rows, contract
 from agglorank.errors import DegenerateOrderError
 from agglorank.families import (
     CometSpec,
@@ -216,3 +218,28 @@ def test_family_closure(spec, node_class, target):
     for v, c in enumerate(lg.classes):
         if c is node_class:
             assert distance_signature(contract(lg.graph, v).graph) == expected
+
+
+@pytest.mark.parametrize("order, copies", [("canonical", 1), ("shuffled", 2)])
+def test_flat_rows_hold_no_cursor_array(order, copies):
+    # The rows of P(100001) from its 200,000 ids.  Canonical lines fill the
+    # neighbour array and the row offsets, and the ascent check reads them in
+    # place; shuffled lines add one transposed copy of each.  A cursor array
+    # beside the offsets (4 bytes a node) overshoots the bound.
+    n = 100_001
+    edges = [(u, u + 1) for u in range(n - 1)]
+    if order == "shuffled":
+        random.Random(order).shuffle(edges)
+        edges = [(w, u) for u, w in edges]
+    ids = array("i", [u for edge in edges for u in edge])
+    bound = copies * (ids.itemsize * len(ids) + ids.itemsize * (n + 1)) + 64 * 1024
+    tracemalloc.start()
+    try:
+        row = _flat_rows(ids, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"_flat_rows peak {peak} B, bound {bound} B"
+    assert [tuple(row(u)) for u in (0, 1, n // 2, n - 1)] == [(1,), (0, 2), (n // 2 - 1, n // 2 + 1),
+                                                              (n - 2,)]
+    assert not ids  # emptied once the rows hold its edges

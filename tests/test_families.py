@@ -1,5 +1,7 @@
 """Family generators: numbering, roles, degrees, identities, serialization."""
 
+import dataclasses
+import pickle
 import re
 import sys
 import tracemalloc
@@ -15,6 +17,7 @@ from agglorank.families import (
     FAMILIES,
     CometSpec,
     DoubleCometSpec,
+    LabeledGraph,
     LollipopSpec,
     NodeClass,
     PathSpec,
@@ -328,3 +331,56 @@ def test_class_and_family_lines_are_found_as_the_numbered_loop_finds_them(text):
     except EdgeListError as exc:
         scanned = str(exc), exc.line
     assert scanned == numbered_class_scan(text)
+
+
+class TestValueClasses:
+    """The family specs and ``LabeledGraph`` behave as the frozen dataclasses
+    they replace."""
+
+    @pytest.mark.parametrize("spec, same, shown", [
+        (PathSpec(4), PathSpec(n=4), "PathSpec(n=4)"),
+        (CometSpec(3, 4), CometSpec(s=3, t=4), "CometSpec(s=3, t=4)"),
+        (DoubleCometSpec(9, 2, 3), DoubleCometSpec(9, b=3, a=2), "DoubleCometSpec(n=9, a=2, b=3)"),
+        (LollipopSpec(10, 5), LollipopSpec(d=5, n=10), "LollipopSpec(n=10, d=5)"),
+    ])
+    def test_a_spec_by_position_and_keyword(self, spec, same, shown):
+        assert spec == same and spec is not same
+        assert hash(spec) == hash(same) and len({spec, same}) == 1
+        assert repr(spec) == shown
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        assert spec != type(spec)(*[value + 1 for value in spec.params()])
+
+    def test_two_families_with_the_same_values_differ(self):
+        assert CometSpec(5, 4) != LollipopSpec(5, 4)
+        assert CometSpec(5, 4).params() == LollipopSpec(5, 4).params() == (5, 4)
+        assert PathSpec(4) != (4,) and len({CometSpec(5, 4), LollipopSpec(5, 4)}) == 2
+
+    @pytest.mark.parametrize("make", [
+        lambda: PathSpec(), lambda: PathSpec(4, 5), lambda: PathSpec(4, n=4),
+        lambda: PathSpec(m=4), lambda: CometSpec(3), lambda: DoubleCometSpec(9, 2, c=3),
+    ])
+    def test_a_spec_takes_each_field_once(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_a_labeled_graph_by_position_and_keyword(self):
+        lg = generate(PathSpec(2))
+        same = LabeledGraph(graph=lg.graph, classes=lg.classes, spec=PathSpec(2))
+        assert lg == same == LabeledGraph(lg.graph, lg.classes, lg.spec)
+        assert hash(lg) == hash(same) and pickle.loads(pickle.dumps(lg)) == lg
+        assert lg != LabeledGraph(lg.graph, lg.classes, CometSpec(1, 1))
+        assert repr(lg) == ("LabeledGraph(graph=Graph(n=2, edges=[(0, 1)]), classes=("
+                            "<NodeClass.PATH_END: 'path_end'>, <NodeClass.PATH_END: 'path_end'>), "
+                            "spec=PathSpec(n=2))")
+
+    @pytest.mark.parametrize("value, name", [
+        (PathSpec(4), "n"), (DoubleCometSpec(9, 2, 3), "b"), (LollipopSpec(10, 5), "other"),
+        (generate(PathSpec(2)), "classes"),
+    ])
+    def test_fields_cannot_be_assigned_or_deleted(self, value, name):
+        before = repr(value)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"assign to field '{name}'"):
+            setattr(value, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"delete field '{name}'"):
+            delattr(value, name)
+        assert repr(value) == before

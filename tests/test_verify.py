@@ -1,6 +1,9 @@
 """Verification harness: row shapes, range policing, orderings, the size
 limit, a family added from outside, parallel determinism."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from agglorank import agglomeration, closed_forms, verify
@@ -233,3 +236,46 @@ def test_a_new_family_needs_no_verify_edit(monkeypatch):
     assert [row.check for row in report.rows[:5]] == [
         "phi", "path_end", "path_inner", "path_end+again", "path_inner+again"]
     assert report.rows[0].spec == "TP(4)"
+
+
+class TestValueClasses:
+    """``VerifyRow`` and ``VerifyReport`` behave as the dataclasses they
+    replace: a row is frozen and computes ``match``; a report is mutable."""
+
+    def test_a_row_by_position_and_keyword(self):
+        row = VerifyRow("P(4)", "phi", Fraction(1, 2), Fraction(1, 2))
+        same = VerifyRow(spec="P(4)", check="phi", analytic=Fraction(1, 2), engine=Fraction(1, 2))
+        assert row == same and row is not same and row.match
+        assert hash(row) == hash(same) and len({row, same}) == 1
+        assert row != VerifyRow("P(4)", "phi", Fraction(1, 2), Fraction(1, 3))
+        assert not VerifyRow("P(4)", "phi", Fraction(1, 2), Fraction(1, 3)).match
+        assert repr(row) == ("VerifyRow(spec='P(4)', check='phi', analytic=Fraction(1, 2), "
+                             "engine=Fraction(1, 2), match=True)")
+        assert pickle.loads(pickle.dumps(row)) == row
+        with pytest.raises(TypeError):
+            VerifyRow("P(4)", "phi", Fraction(1, 2), Fraction(1, 2), True)
+        with pytest.raises(TypeError):
+            VerifyRow("P(4)", "phi", Fraction(1, 2), Fraction(1, 2), match=True)
+
+    @pytest.mark.parametrize("name", ["match", "engine", "other"])
+    def test_row_fields_cannot_be_assigned_or_deleted(self, name):
+        row = VerifyRow("P(4)", "phi", Fraction(1, 2), Fraction(1, 3))
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"assign to field '{name}'"):
+            setattr(row, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"delete field '{name}'"):
+            delattr(row, name)
+        assert not row.match
+
+    def test_a_report_is_a_mutable_unhashable_value(self):
+        row = VerifyRow("P(4)", "phi", Fraction(1, 2), Fraction(1, 2))
+        report = VerifyReport([row], [], ["v"])
+        same = VerifyReport(rows=[row], notes=[], violations=["v"])
+        assert report == same and report is not same
+        assert repr(report) == (f"VerifyReport(rows=[{row!r}], notes=[], violations=['v'])")
+        assert pickle.loads(pickle.dumps(report)) == report
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(report)
+        report.notes = ["n"]
+        assert report != same and report.notes == ["n"]
+        with pytest.raises(TypeError):
+            VerifyReport(rows=[], notes=[])
