@@ -37,6 +37,8 @@ from .options import usable_cpus
 Rational = Fraction
 
 
+# ImcEntry and RankReport stay NamedTuples, not graph._FrozenRecords: an entry
+# is made per node, which a NamedTuple does in C, and _replace serves callers.
 class ImcEntry(NamedTuple):
     """Importance of one node: 1 - phi(G)/phi(G with the node contracted)."""
 

@@ -46,7 +46,7 @@ def _family_commands() -> dict[str, tuple[type, tuple[str, ...]]]:
     # and the names of the spec's fields, in order.
     from .families import FAMILIES
 
-    return {name.replace("_", "-"): (cls, cls.__slots__) for name, cls in FAMILIES.items()}
+    return {name.replace("_", "-"): (cls, cls._fields) for name, cls in FAMILIES.items()}
 
 
 def _range_arg(text: str) -> tuple[int, int]:

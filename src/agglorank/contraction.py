@@ -19,7 +19,7 @@ from operator import ge, sub
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .errors import DegenerateOrderError
-from .graph import Graph, _check_node, _frozen, _plain_blocks, _plain_text, _reaches_all, _set
+from .graph import Graph, _check_node, _FrozenRecord, _plain_blocks, _plain_text, _reaches_all
 
 if TYPE_CHECKING:
     from array import array
@@ -30,7 +30,7 @@ if TYPE_CHECKING:
 _ID = "i"
 
 
-class ContractionResult:
+class ContractionResult(_FrozenRecord):
     """Outcome of contracting one node.
 
     ``graph`` has order n - deg(v).  ``merged_into`` is the id of the merged
@@ -40,30 +40,11 @@ class ContractionResult:
     of ``graph``, so the map costs one list slot per old node.  ``old_to_new``
     maps each surviving old id to its new id, iterating in ascending old-id
     order; it is built on first read, so a result that is never asked for it
-    holds no dict.  Results are frozen, equal when their fields are, and
-    unhashable, as ``new_ids`` is a list.
+    holds no dict, as ``__dict__`` holds only that cache.  Results are frozen
+    records (``graph._FrozenRecord``), unhashable, as ``new_ids`` is a list.
     """
 
     __slots__ = ("graph", "merged_into", "new_ids", "__dict__")
-    __setattr__ = __delattr__ = _frozen
-
-    def __init__(self, graph: Graph, merged_into: int, new_ids: list[int]) -> None:
-        _set(self, "graph", graph)
-        _set(self, "merged_into", merged_into)
-        _set(self, "new_ids", new_ids)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.graph, self.merged_into, self.new_ids)
-                == (other.graph, other.merged_into, other.new_ids))
-
-    def __reduce__(self):
-        return ContractionResult, (self.graph, self.merged_into, self.new_ids)
-
-    def __repr__(self) -> str:
-        return (f"ContractionResult(graph={self.graph!r}, merged_into={self.merged_into!r}, "
-                f"new_ids={self.new_ids!r})")
 
     @cached_property
     def old_to_new(self) -> dict[int, int]:

@@ -10,9 +10,9 @@ I/O, ``verify`` and the CLI are all derived from it.  A family's closed forms
 are ``closed_forms.phi_<name>`` and ``closed_forms.imc_<name>``, called with
 the spec's fields in order, plus ``closed_forms.imc_<name>_<variant>`` for
 each further transcription named in ``IMC_VARIANTS``.  A spec's fields are
-the names in its class's ``__slots__``; the specs, ``LabeledGraph`` and
-verify's rows and report are hand-written value classes on one base
-(``_Record``), so that ``gen`` and ``verify`` load no ``dataclasses``.
+the names in its class's ``__slots__``: the specs and ``LabeledGraph`` are
+frozen records on the value-record base in ``graph`` (``_FrozenRecord``),
+so that ``gen`` and ``verify`` load no ``dataclasses``.
 
 Node numbering follows each family's conventional labeling so that ids, roles
 and figures line up, and is a stability guarantee:
@@ -40,8 +40,8 @@ import re
 from typing import ClassVar
 
 from .errors import EdgeListError, FamilyParameterError
-from .graph import (_CLASS_LINE, _WRITE_NODES, Graph, _check_node, _frozen, _int_field,
-                    _matching_lines, _set, check_class_nodes, from_edge_list, parse_edge_list,
+from .graph import (_CLASS_LINE, _WRITE_NODES, _check_node, _FrozenRecord, _int_field,
+                    _matching_lines, check_class_nodes, from_edge_list, parse_edge_list,
                     scan_class_comments, to_edge_list)
 
 
@@ -78,62 +78,6 @@ Relation = tuple[NodeClass, str, NodeClass]
 def _chain(*roles: NodeClass) -> list[Relation]:
     """Each role outranks the next."""
     return [(upper, ">", lower) for upper, lower in zip(roles, roles[1:])]
-
-
-class _Record:
-    """A value class whose fields are its ``__slots__``, in order, as a
-    dataclass's are its annotated names, without loading ``dataclasses``.
-
-    It is made by position or by keyword, each field once, and then checked
-    by ``_check()``.  It equals only a value of its own class with equal
-    fields, shows as ``Name(field=value, ...)`` and pickles by its fields.
-    ``_FrozenRecord`` also refuses to assign or delete a field, as a frozen
-    dataclass does (``graph._frozen``), and hashes by its fields.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs) -> None:
-        name, fields = type(self).__name__, self.__slots__
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} fields but {len(args)} were given")
-        for field, value in zip(fields, args):
-            if field in kwargs:
-                raise TypeError(f"{name}() got multiple values for field {field!r}")
-            _set(self, field, value)
-        for field in fields[len(args):]:
-            if field not in kwargs:
-                raise TypeError(f"{name}() missing field {field!r}")
-            _set(self, field, kwargs.pop(field))
-        if kwargs:
-            raise TypeError(f"{name}() got an unexpected field {next(iter(kwargs))!r}")
-        self._check()
-
-    def _check(self) -> None:
-        """Refuse field values that make no value of this class."""
-
-    def _values(self) -> tuple:
-        return tuple(map(self.__getattribute__, self.__slots__))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        pairs = (f"{field}={value!r}" for field, value in zip(self.__slots__, self._values()))
-        return f"{type(self).__qualname__}({', '.join(pairs)})"
-
-    def __reduce__(self):
-        return self.__class__, self._values()
-
-
-class _FrozenRecord(_Record):
-    __slots__ = ()
-    __setattr__ = __delattr__ = _frozen
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
 
 class FamilySpec(_FrozenRecord):
@@ -183,7 +127,7 @@ class FamilySpec(_FrozenRecord):
         return f"{self.ABBREV}({','.join(map(str, self.params()))})"
 
     def comment_fields(self) -> str:
-        pairs = map("{}={}".format, self.__slots__, self.params())
+        pairs = map("{}={}".format, self._fields, self.params())
         return " ".join((self.NAME, *pairs))
 
     def build(self) -> tuple[list[tuple[int, int]], list[NodeClass]]:
@@ -422,7 +366,7 @@ def _spec_from_fields(name: str, text: str) -> FamilySpec:
             raise EdgeListError(f"family {name} repeats parameter {key!r}")
         values[key] = _int_field(value, f"family {name} parameter {key!r}")
     try:
-        spec = {field: values.pop(field) for field in cls.__slots__}
+        spec = {field: values.pop(field) for field in cls._fields}
     except KeyError as missing:
         raise EdgeListError(f"family {name} is missing parameter {missing}") from None
     if values:

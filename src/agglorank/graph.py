@@ -28,9 +28,10 @@ blocks of ``_edge_lines`` one at a time.
 
 The "# class <id> <label>" lines of labeled text are found here too
 (``scan_class_comments``), by one search of the text, so ``rank`` reads
-them without the family registry, which imports the scan back.  ``Graph`` is
-frozen by ``_frozen``, as are the result records of the engine and the
-records of ``families`` and ``verify``, without importing ``dataclasses``.
+them without the family registry, which imports the scan back.  ``_Record``
+is the value-record base, with no ``dataclasses``, of ``Graph``,
+``contraction.ContractionResult`` and the records of ``families`` and
+``verify``; ``_frozen`` freezes ``_FrozenRecord`` and the engine's NamedTuples.
 """
 
 from __future__ import annotations
@@ -88,10 +89,67 @@ def _frozen(self, name: str, *value) -> NoReturn:
     raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
-_set = object.__setattr__
+class _Record:
+    """A value class whose fields are its ``__slots__`` less ``__dict__``, in
+    order, as a dataclass's are its annotated names, without loading
+    ``dataclasses``; ``_fields`` names them, worked out once per class.
+
+    It is made by position or by keyword, each field once, and then checked
+    by ``_check()``.  It equals only a value of its own class with equal
+    fields, shows as ``Name(field=value, ...)`` and pickles by its fields.
+    ``_FrozenRecord`` also refuses to assign or delete a field, as a frozen
+    dataclass does (``_frozen``), and hashes by its fields.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(field for field in cls.__slots__ if field != "__dict__")
+
+    def __init__(self, *args, **kwargs) -> None:
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields but {len(args)} were given")
+        for field, value in zip(fields, args):
+            if field in kwargs:
+                raise TypeError(f"{name}() got multiple values for field {field!r}")
+            object.__setattr__(self, field, value)
+        for field in fields[len(args):]:
+            if field not in kwargs:
+                raise TypeError(f"{name}() missing field {field!r}")
+            object.__setattr__(self, field, kwargs.pop(field))
+        if kwargs:
+            raise TypeError(f"{name}() got an unexpected field {next(iter(kwargs))!r}")
+        self._check()
+
+    def _check(self) -> None:
+        """Refuse field values that make no value of this class."""
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        pairs = (f"{field}={value!r}" for field, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({', '.join(pairs)})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
 
 
-class Graph:
+class _FrozenRecord(_Record):
+    __slots__ = ()
+    __setattr__ = __delattr__ = _frozen
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class Graph(_FrozenRecord):
     """Immutable simple undirected graph on node ids 0..n-1.
 
     ``adj[v]`` is the sorted tuple of neighbors of v.  Adjacency is symmetric
@@ -101,22 +159,6 @@ class Graph:
     """
 
     __slots__ = ("n", "adj")
-    __setattr__ = __delattr__ = _frozen
-
-    def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]) -> None:
-        _set(self, "n", n)
-        _set(self, "adj", adj)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.adj == other.adj
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.adj))
-
-    def __reduce__(self):
-        return Graph, (self.n, self.adj)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in canonical order."""

@@ -28,8 +28,8 @@ from typing import Iterator
 from . import closed_forms as cf
 from .agglomeration import RankReport, rank_graphs
 from .errors import FamilyParameterError, FormulaDomainError
-from .families import (FAMILIES, MAX_SIZE, FamilySpec, LabeledGraph, NodeClass, _FrozenRecord,
-                       _Record, generate)
+from .families import FAMILIES, MAX_SIZE, FamilySpec, LabeledGraph, NodeClass, generate
+from .graph import _FrozenRecord, _Record
 
 # Default grids; lower bounds double as the hard floor below which the
 # importance formulas are not established and verification refuses to run.

@@ -144,6 +144,17 @@ def test_result_is_a_frozen_value_built_by_position_or_keyword():
     assert result.old_to_new == {2: 0}
     for value in (g, result):
         assert pickle.loads(pickle.dumps(value)) == value
+    assert result == ContractionResult(merged, new_ids=[1, 1, 0], merged_into=1)
+    for args, kwargs, message in [
+        ((merged, 1, [1, 1, 0], None), {}, "takes 3 fields but 4 were given"),
+        ((merged, 1), {"merged_into": 1, "new_ids": []},
+         "got multiple values for field 'merged_into'"),
+        ((merged,), {"merged_into": 1}, "missing field 'new_ids'"),
+        ((merged, 1, [1, 1, 0]), {"old_to_new": {}}, "got an unexpected field 'old_to_new'"),
+    ]:
+        with pytest.raises(TypeError, match=rf"^ContractionResult\(\) {message}$"):
+            ContractionResult(*args, **kwargs)
+    assert result != merged and merged != result
 
 
 def relabeled(rng, g):

@@ -4,6 +4,7 @@ import dataclasses
 import random
 import sys
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -12,9 +13,17 @@ from hypothesis import strategies as st
 
 from agglorank import graph
 from agglorank import contraction
-from agglorank.contraction import contract, contract_text
+from agglorank.contraction import ContractionResult, contract, contract_text
 from agglorank.errors import ConnectivityError, DegenerateOrderError, EdgeListError
-from agglorank.families import LollipopSpec, generate
+from agglorank.families import (
+    FAMILIES,
+    CometSpec,
+    DoubleCometSpec,
+    LabeledGraph,
+    LollipopSpec,
+    PathSpec,
+    generate,
+)
 from agglorank.graph import (
     Graph,
     bfs_distances,
@@ -25,6 +34,7 @@ from agglorank.graph import (
     parse_edge_list,
     to_edge_list,
 )
+from agglorank.verify import VerifyReport, VerifyRow
 
 from oracles import (
     PLAIN_BLOCK,
@@ -106,6 +116,49 @@ class TestGraphValue:
     def test_repr_lists_the_edges(self):
         assert repr(path(3)) == "Graph(n=3, edges=[(0, 1), (1, 2)])"
         assert repr(from_edge_list([], n=2)) == "Graph(n=2, edges=[])"
+
+    def test_built_by_position_or_keyword(self):
+        adj = ((1,), (0, 2), (1,))
+        assert Graph(3, adj) == Graph(n=3, adj=adj) == Graph(3, adj=adj) == path(3)
+
+    @pytest.mark.parametrize("args, kwargs, message", [
+        ((3, (), 0), {}, r"^Graph\(\) takes 2 fields but 3 were given$"),
+        ((3, ()), {"n": 3}, r"^Graph\(\) got multiple values for field 'n'$"),
+        ((3,), {}, r"^Graph\(\) missing field 'adj'$"),
+        ((), {"n": 3, "adj": (), "m": 0}, r"^Graph\(\) got an unexpected field 'm'$"),
+    ])
+    def test_each_field_once(self, args, kwargs, message):
+        with pytest.raises(TypeError, match=message):
+            Graph(*args, **kwargs)
+
+    def test_equal_only_to_a_graph(self):
+        # Records compare by class first: the same field values in another
+        # record class are another value.
+        class Twin(graph._FrozenRecord):
+            __slots__ = ("n", "adj")
+
+        g = path(2)
+        twin = Twin(g.n, g.adj)
+        assert g != twin and twin != g and twin._values() == (g.n, g.adj)
+        values = (g, (0, 0), [0, 0])
+        result, labeled = ContractionResult(*values), LabeledGraph(*values)
+        assert result != labeled and labeled != result
+        assert g not in (twin, result, labeled, (g.n, g.adj))
+
+    def test_records_hold_no_instance_dict(self):
+        # A record's fields live in slots; a base that forgot ``__slots__ = ()``
+        # would give every graph a dict.
+        lg = generate(LollipopSpec(5, 2))
+        row = VerifyRow("P(4)", "phi", Fraction(1, 2), Fraction(1, 2))
+        specs = [PathSpec(4), CometSpec(3, 2), DoubleCometSpec(8, 2, 2), LollipopSpec(5, 2)]
+        assert {type(spec) for spec in specs} == set(FAMILIES.values())
+        for value in (lg.graph, *specs, lg, row, VerifyReport([row], [], [])):
+            assert not hasattr(value, "__dict__"), type(value).__name__
+        # A contraction result's dict holds the old_to_new cache alone, once read.
+        result = contract(lg.graph, 0)
+        assert result.__dict__ == {}
+        old_to_new = result.old_to_new
+        assert result.__dict__ == {"old_to_new": old_to_new}
 
 
 class TestDegree:
