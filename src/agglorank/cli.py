@@ -70,7 +70,7 @@ def _emit(args: argparse.Namespace, blocks: Iterable[str]) -> None:
 
 def _read_text(args: argparse.Namespace) -> str:
     try:
-        return Path(args.input).read_text(encoding="utf-8")
+        return Path(args.input).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise EdgeListError(f"{args.input}: not UTF-8 text ({exc})") from None
 
@@ -125,8 +125,7 @@ def cmd_contract(args: argparse.Namespace) -> int:
     if g is not None:
         if not 0 <= args.node < g.n:
             raise AggloRankError(f"node {args.node} out of range for graph of order {g.n}")
-        if g.n >= 2:
-            bfs_distances(g, 0)  # connectivity precondition, names an unreachable node
+        bfs_distances(g, 0)  # connectivity precondition, names an unreachable node
         result = contract(g, args.node)
         del g  # the input graph is not needed to write the result
         merged = result.merged_into

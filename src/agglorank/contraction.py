@@ -6,12 +6,11 @@ edges that touch N[v], are renumbered through a node table into one flat int
 array of G/v's edges, and ``_flat_rows`` turns that into G/v's rows in two
 more flat arrays (CSR, compressed sparse row): the row offsets and the
 neighbours.  Nothing is made per node.  Either way the merged node is G/v's
-last id, n(G/v) - 1.
+last id, n(G/v) - 1.  ``graph`` reads the text and searches the rows.
 """
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 from functools import cached_property, partial
 from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
@@ -19,7 +18,8 @@ from operator import ge, sub
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .errors import DegenerateOrderError
-from .graph import Graph, _check_node, _FrozenRecord, _plain_blocks, _plain_text, _reaches_all
+from .graph import (Graph, _bfs, _check_node, _ends_beside, _FrozenRecord, _plain_blocks,
+                    _plain_text)
 
 if TYPE_CHECKING:
     from array import array
@@ -101,17 +101,17 @@ def contract_text(text: str, v: int) -> tuple[int, Callable[[int], Sequence[int]
     None when the text is not plain (``graph._plain_text``, before any search)
     or holds a fault, when no edge holds v (v isolated or out of the order), or
     when G is disconnected, so that the parser of record decides.  N(v) comes
-    from the lines that hold v (``_ends_beside``).  Then each block of old ids,
-    less its pairs that touch S = N[v], is renumbered into one flat array of
-    G/v's edges, and every survivor next to S is joined once to the merged
-    node, old id top + 1, after the last block.  A node table renumbers each
+    from the lines that hold v (``graph._ends_beside``).  Then each block of
+    old ids, less its pairs that touch S = N[v], is renumbered into one flat
+    array of G/v's edges, and every survivor next to S is joined once to the
+    merged node, old id top + 1, after the last block.  A node table renumbers each
     old id once, as it grows over it: u becomes u minus the members of S below
     it, which sends top + 1 to n - 1.  ``_flat_rows`` makes the rows of that
     array (CSR): no list per node, no tuple and no ``Graph`` is made for G/v.
     A self-loop or a duplicate on an edge that touches S would vanish, so a set
     of those pairs finds it; ``_flat_rows`` finds the rest.  G is connected
-    exactly when G/v is, since N[v] is connected, which ``is_connected``'s
-    search checks on the rows.
+    exactly when G/v is, since N[v] is connected, which ``graph._bfs``, the
+    search of ``is_connected``, checks on the rows.
     """
     from array import array  # only contract loads it: rank and phi do not
 
@@ -155,23 +155,9 @@ def contract_text(text: str, v: int) -> tuple[int, Callable[[int], Sequence[int]
         ids.extend((node[u], node[-1]))
     n = node[-1] + 1
     del node
-    if (row := _flat_rows(ids, n)) is None or not _reaches_all(n, row):
+    if (row := _flat_rows(ids, n)) is None or len(_bfs(n, row, 0)[0]) < n:
         return None
     return n, row, filterfalse(removed.__contains__, range(top + 1))
-
-
-def _ends_beside(text: str, v: int) -> list[str]:
-    # The other end of each edge line of plain text that holds v.  Each
-    # search starts with one character, "\n" or " ", which the regex engine
-    # skips to; a pattern that starts with "^" is tried at every character.
-    ends = re.findall(rf"\n0*{v} ([0-9]+)$", text, re.MULTILINE)
-    if first := re.match(rf"0*{v} ([0-9]+)$", text, re.MULTILINE):
-        ends.append(first[1])
-    for m in re.finditer(rf" 0*{v}$", text, re.MULTILINE):
-        start = text.rfind("\n", 0, m.start()) + 1
-        if text[start] != "#":  # not a comment line
-            ends.append(text[start:m.start()])
-    return ends
 
 
 def _flat_rows(ids: array, n: int) -> Callable[[int], array] | None:

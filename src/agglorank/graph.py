@@ -19,9 +19,10 @@ every line break of ``str.splitlines()`` as "\n" (``_newlines_only``).
 Anything else, plain text with a fault, or such an id goes line by line
 through ``_validated``, which gives the same graph and is the only code that
 raises.  ``from_edge_list`` builds the same way and names a fault from
-``_validated``.  ``contraction.contract_text`` reads the same plain blocks
-to build G/v in flat int arrays, without its input graph.  The search of
-``is_connected`` (``_reaches_all``) and the writer of ``to_edge_list``
+``_validated``.  ``contraction.contract_text`` reads the same plain blocks,
+and the lines that hold its node (``_ends_beside``, by ``_PLAIN_LINE``'s
+syntax), to build G/v in flat int arrays, without its input graph.  The one
+breadth-first search (``_bfs``) and the writer of ``to_edge_list``
 (``_edge_lines``) read rows by index, ``row(u)``, so they serve both a
 ``Graph``'s tuples and those arrays; the ``contract`` command writes the
 blocks of ``_edge_lines`` one at a time.
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import re
 import sys
-from collections import deque
 from functools import reduce
 from itertools import accumulate, chain, compress, count, repeat
 from operator import itemgetter, mul, or_, xor
@@ -54,7 +54,8 @@ _NODE_ID = re.compile(r"[0-9]+|-0*[1-9][0-9]*")
 # The line breaks of str.splitlines() other than "\n".
 _LINE_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 # One whole line of plain text: "u v" in ASCII digits, or a comment that starts
-# the line and is no order header.
+# the line and is no order header.  ``_ends_beside`` finds a node's edge lines
+# by this syntax, so the two change together.
 _PLAIN_LINE = re.compile(r"(?:[0-9]+ [0-9]+|#(?!\s*n\s*=)[^\n]*)(?:\n|\Z)")
 # A newline that starts a line that is not plain: searched for, it keeps no
 # state per line, as one pattern matched over the whole text would.
@@ -355,6 +356,20 @@ def _plain_text(text: str, connected: bool) -> tuple[str, int] | None:
     return text, edge_lines + 1 if connected else 2 * edge_lines
 
 
+def _ends_beside(text: str, v: int) -> list[str]:
+    # The other end of each edge line of plain text that holds v.  Each
+    # search starts with one character, "\n" or " ", which the regex engine
+    # skips to; a pattern that starts with "^" is tried at every character.
+    ends = re.findall(rf"\n0*{v} ([0-9]+)$", text, re.MULTILINE)
+    if first := re.match(rf"0*{v} ([0-9]+)$", text, re.MULTILINE):
+        ends.append(first[1])
+    for m in re.finditer(rf" 0*{v}$", text, re.MULTILINE):
+        start = text.rfind("\n", 0, m.start()) + 1
+        if text[start] != "#":  # not a comment line
+            ends.append(text[start:m.start()])
+    return ends
+
+
 def _newlines_only(text: str) -> str:
     # text with each line break of str.splitlines() written as "\n": every line
     # keeps its text and its number, and only a line break that ends the text
@@ -501,54 +516,47 @@ def degree(g: Graph, v: int) -> int:
     return len(g.adj[v])
 
 
-def _bfs(g: Graph, source: int) -> list[int]:
-    # Hop distances from source; -1 marks unreached nodes.
-    dist = [-1] * g.n
-    dist[source] = 0
-    queue = deque((source,))
-    adj = g.adj
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for w in adj[u]:
-            if dist[w] < 0:
-                dist[w] = du
-                queue.append(w)
-    return dist
+def _bfs(n: int, row: Callable[[int], Iterable[int]],
+         source: int) -> tuple[memoryview, list[int]]:
+    # The nodes a breadth-first search from source reaches over the n rows
+    # row(0), row(1), ..., in search order in a flat buffer of C ints, and
+    # where each level ends in it: distance d holds order[ends[d - 1]:ends[d]],
+    # from 0 at d = 0.  No int object and no distance is kept per node.
+    seen = bytearray(n)
+    seen[source] = 1
+    order = memoryview(bytearray(4 * n)).cast("i")
+    order[0] = source
+    ends = []
+    start, end = 0, 1
+    while start < end:
+        ends.append(end)
+        for u in order[start:end]:
+            for w in row(u):
+                if not seen[w]:
+                    seen[w] = 1
+                    order[end] = w
+                    end += 1
+        start = ends[-1]
+    return order[:end], ends
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """Exact hop distances from source to every node; the graph must be connected."""
     _check_node(g, source)
-    dist = _bfs(g, source)
-    for v, d in enumerate(dist):
-        if d < 0:
-            raise ConnectivityError(
-                f"node {v} is unreachable from node {source}", unreachable=v
-            )
+    order, ends = _bfs(g.n, g.adj.__getitem__, source)
+    dist = [-1] * g.n
+    for d, (start, end) in enumerate(zip([0, *ends], ends)):
+        for u in order[start:end]:
+            dist[u] = d
+    if len(order) < g.n:
+        v = dist.index(-1)
+        raise ConnectivityError(f"node {v} is unreachable from node {source}", unreachable=v)
     return dist
 
 
 def is_connected(g: Graph) -> bool:
     """True iff a BFS from node 0 reaches every node."""
-    return _reaches_all(g.n, g.adj.__getitem__)
-
-
-def _reaches_all(n: int, row: Callable[[int], Iterable[int]]) -> bool:
-    # is_connected's search over the n rows row(0), row(1), ...  The queue is
-    # a flat buffer of C ints, so it holds no int object per node.
-    seen = bytearray(n)
-    seen[0] = 1
-    queue = memoryview(bytearray(4 * n)).cast("i")
-    head, end = 0, 1
-    while head < end:
-        for w in row(queue[head]):
-            if not seen[w]:
-                seen[w] = 1
-                queue[end] = w
-                end += 1
-        head += 1
-    return end == n
+    return len(_bfs(g.n, g.adj.__getitem__, 0)[0]) == g.n
 
 
 def _disconnected(g: Graph) -> NoReturn:

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, formats, exit codes, determinism."""
 
+import codecs
 import contextlib
 import io
 import json
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from agglorank import agglomeration, cli, contraction, graph, reports, verify
 from agglorank.cli import _range_arg, main
 from agglorank.contraction import contract, contract_text
-from agglorank.errors import EdgeListError
+from agglorank.errors import ConnectivityError, EdgeListError
 from agglorank.families import (FAMILIES, MAX_SIZE, LollipopSpec, NodeClass, PathSpec, generate,
                                  read_labeled, write_labeled)
 from agglorank.graph import from_edge_list, parse_edge_list, to_edge_list
@@ -494,7 +495,7 @@ class TestContractNumbering:
     @pytest.mark.parametrize("node", [0, 1, 4])
     def test_an_id_at_the_bound_declines(self, node):
         text = "0 1\n1 4\n"
-        with mock.patch("agglorank.contraction._reaches_all", _no_search):
+        with mock.patch("agglorank.contraction._bfs", _no_search):
             assert contract_text(text, node) is None
         assert_contract_as_before(text, node, new_path=False)
         # Run once to stdout and once with --output, each with the same error.
@@ -569,8 +570,12 @@ def rows_of(contracted):
     return tuple(tuple(row(u)) for u in range(n))
 
 
-def _no_search(n, row):
+def _no_search(n, row, source):
     raise AssertionError("the connectivity search ran")
+
+
+def _no_parse(text, connected=False):
+    raise AssertionError("the text was parsed")
 
 
 def _no_graph(*args, **kwargs):
@@ -637,6 +642,22 @@ class TestEncoding:
         assert out == ""
         assert err == (f"error: {source}: not UTF-8 text ('utf-8' codec can't decode "
                        "byte 0xff in position 0: invalid start byte)\n")
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_a_byte_order_mark_is_no_part_of_the_text(self, capsys, tmp_path, monkeypatch,
+                                                       command):
+        # A UTF-8 byte-order mark, as some editors write, gives what the file
+        # gives without it: the class line it precedes is read, and contract
+        # still takes the plain path.
+        text = "# class 0 path_end\n0 1\n1 2\n2 3\n".encode()
+        bare, marked = tmp_path / "bare.edges", tmp_path / "marked.edges"
+        bare.write_bytes(text)
+        marked.write_bytes(codecs.BOM_UTF8 + text)
+        expected = run(capsys, command, str(bare), *self.ARGS[command])
+        assert expected[0] == 0
+        if command == "contract":
+            monkeypatch.setattr(cli, "parse_edge_list", _no_parse)
+        assert run(capsys, command, str(marked), *self.ARGS[command]) == expected
 
     ASCII_LOCALE = child_env(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
 
@@ -707,8 +728,11 @@ def test_hostile_input_exits_with_one_error_line(capsys, tmp_path, case, command
 @st.composite
 def hostile_texts(draw):
     """A valid connected edge list with one fault: a long field, a sign, a
-    non-ASCII digit, a NUL or a stray separator in an edge line, or an order
-    header that is wrong, repeated or huge.  Small, so nothing large is built."""
+    non-ASCII digit, a NUL or a stray separator in an edge line, an order
+    header that is wrong, repeated or huge, or a large order named by an edge
+    to an id up to 10^12 (after up to 10^4 comment or blank lines), by a
+    "# n=" header up to 10^12 or by a second header.  Each names at most a
+    few thousand ids, so nothing large is built unless a refusal comes late."""
     n = draw(st.integers(2, 8))
     edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
     lines = [f"{u} {v}" for u, v in draw(st.permutations(edges))]
@@ -717,7 +741,8 @@ def hostile_texts(draw):
     fields = line.split(" ")
     field = draw(st.integers(0, 1))
     fault = draw(st.sampled_from(["long field", "sign", "non-ASCII digit", "NUL", "separator",
-                                  "header", "huge order"]))
+                                  "header", "huge order", "far edge", "far header",
+                                  "second header"]))
     if fault == "long field":
         long = draw(st.sampled_from("123456789")) + "9" * draw(st.integers(20, 5000))
         fields = fields + [long] if draw(st.booleans()) else [*fields[:field], long,
@@ -741,6 +766,18 @@ def hostile_texts(draw):
             lines.insert(draw(st.integers(0, len(lines))), header)
     elif fault == "huge order":
         lines.insert(draw(st.integers(0, len(lines))), "# n=" + "9" * draw(st.integers(19, 5000)))
+    elif fault == "far edge":
+        # An id above n leaves n edges short of connecting its order.
+        far = (draw(st.integers(0, n - 1)), draw(st.integers(n + 1, 10**12)))
+        filler = [draw(st.sampled_from(["#", "", "# x"]))] * draw(st.integers(0, 10**4))
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at] = [*filler, "{} {}".format(*far[::draw(st.sampled_from((1, -1)))])]
+    elif fault == "far header":
+        lines.insert(draw(st.integers(0, len(lines))), f"# n={draw(st.integers(n + 1, 10**12))}")
+    elif fault == "second header":
+        for _ in range(2):
+            lines.insert(draw(st.integers(0, len(lines))),
+                         f"# n={draw(st.integers(1, 10**12))}")
     return "".join(f"{line}\n" for line in lines)
 
 
@@ -758,6 +795,41 @@ def test_any_hostile_text_exits_with_one_short_error_line(text, command):
     assert code in (2, 3) and out.getvalue() == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     assert len(err) <= 200
+
+
+def _traced(call):
+    """What call returns, or the EdgeListError or ConnectivityError it raises,
+    and the traced peak of the memory it allocates, in bytes."""
+    tracemalloc.start()
+    try:
+        try:
+            outcome = call()
+        except (EdgeListError, ConnectivityError) as exc:
+            outcome = exc
+        return outcome, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# The line path holds the text's lines (str.splitlines()): a pointer and a
+# str object, 8 + 49 + L + 1 bytes for an ASCII line of L >= 2 characters and
+# none for a shorter one, which CPython shares, so at most 20 bytes per
+# character of the line and its newline.  A hostile text has at most one line
+# that is not ASCII.  The bulk path holds less: one block's split at a time and
+# at most one copy of the text.  What remains is a constant (a compiled
+# pattern, the error), well below an allocation per node of the order a far id
+# or header names.
+_BYTES_PER_CHAR, _CONSTANT_BYTES = 20, 32 << 10
+
+
+@given(hostile_texts())
+@settings(max_examples=300, deadline=None)
+def test_any_hostile_text_is_refused_in_memory_linear_in_its_length(text):
+    bound = _BYTES_PER_CHAR * len(text) + _CONSTANT_BYTES
+    error, peak = _traced(lambda: parse_edge_list(text, connected=True))
+    assert isinstance(error, (EdgeListError, ConnectivityError)) and peak <= bound
+    contracted, peak = _traced(lambda: contract_text(text, 0))
+    assert contracted is None and peak <= bound
 
 
 class TestVerify:

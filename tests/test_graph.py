@@ -4,11 +4,13 @@ import dataclasses
 import random
 import sys
 import tracemalloc
+from array import array
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from agglorank import graph
@@ -38,6 +40,7 @@ from agglorank.verify import VerifyReport, VerifyRow
 
 from oracles import (
     PLAIN_BLOCK,
+    UNREACHED,
     drain_tuple_free_lists,
     graph_bytes,
     minplus_distance_matrix,
@@ -617,6 +620,46 @@ def test_bfs_matches_relaxation_oracle(g):
     assert (matrix == matrix.T).all()
 
 
+@st.composite
+def some_graphs(draw, max_n=12):
+    """A random graph of 1..max_n nodes, connected or not: one to three random
+    connected parts with their ids interleaved, and its edges in a random
+    order, each either way round."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = rng.randint(1, max_n)
+    cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 2))))
+    ids = rng.sample(range(n), n)
+    edges = []
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        part = random_connected_graph(rng, hi - lo)
+        edges += [(ids[lo + u], ids[lo + v])[::rng.choice((1, -1))] for u, v in part.edges()]
+    rng.shuffle(edges)
+    return from_edge_list(edges, n=n), edges
+
+
+@given(some_graphs())
+@settings(max_examples=200, deadline=None)
+def test_one_search_serves_tuple_and_flat_rows(graph_and_edges):
+    # The same levels from a Graph's tuples and from contract_text's flat rows
+    # of the same edges (sorted by _flat_rows's transposing pass); distances
+    # and connectivity as the min-plus oracle has them.
+    g, edges = graph_and_edges
+    flat = contraction._flat_rows(array("i", [x for edge in edges for x in edge]), g.n)
+    matrix = minplus_distance_matrix(g)
+    for source in range(g.n):
+        order, ends = graph._bfs(g.n, g.adj.__getitem__, source)
+        assert graph._bfs(g.n, flat, source) == (order, ends)
+        unreached = [v for v in range(g.n) if matrix[source, v] == UNREACHED]
+        if unreached:
+            with pytest.raises(ConnectivityError) as info:
+                bfs_distances(g, source)
+            assert info.value.unreachable == unreached[0]
+        else:
+            assert bfs_distances(g, source) == list(matrix[source])
+        assert len(order) == g.n - len(unreached) == ends[-1]
+    assert is_connected(g) == (matrix < UNREACHED).all()
+
+
 @given(connected_graphs())
 @settings(max_examples=100)
 def test_serialization_round_trip(g):
@@ -713,6 +756,23 @@ def test_bulk_path_raises_nothing_and_agrees_with_the_line_path(text):
         g = graph._parse_plain(text, connected)
         if g is not None:
             assert g == graph._parse_lines(text, connected)
+
+
+@given(plain_texts())
+@settings(max_examples=300, deadline=None)
+def test_the_line_search_reads_the_plain_grammar(text):
+    # contract_text finds v's neighbours with _ends_beside and the rest of the
+    # edges with _plain_blocks; on any text the grammar takes as plain, the two
+    # read the same edges, so a grammar change that leaves the search behind
+    # fails here.
+    plain = graph._plain_text(text, False)
+    assume(plain is not None)
+    text = plain[0]
+    ids = [x for block in graph._plain_blocks(text) for x in block]
+    pairs = list(zip(ids[::2], ids[1::2]))
+    for v in range(14):
+        expected = Counter([w for u, w in pairs if u == v] + [u for u, w in pairs if w == v])
+        assert Counter(map(int, graph._ends_beside(text, v))) == expected
 
 
 def _no_lines(text, connected):
