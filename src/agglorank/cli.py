@@ -22,14 +22,13 @@ from __future__ import annotations
 # resident keeps the start's peak memory down.
 from .contraction import contract, contract_text
 from .errors import AggloRankError, ConnectivityError, EdgeListError, FamilyParameterError
-from .graph import (_WRITE_NODES, _edge_lines, bfs_distances, check_class_nodes,
-                    parse_edge_list, scan_class_comments)
+from .graph import (_blocks, _edge_lines, bfs_distances, check_class_nodes, parse_edge_list,
+                    scan_class_comments)
 from .options import FORMATS, usable_cpus
 
 import argparse
 import re
 import sys
-from itertools import count, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -39,6 +38,8 @@ EXIT_DISCONNECTED = 3
 EXIT_MISMATCH = 4
 
 _RANGE = re.compile(r"([0-9]+)(?:\.\.([0-9]+))?")
+# The syntax int() reads: a sign, digit groups joined by "_", spaces around.
+_INT = re.compile(r"\s*[-+]?\d+(?:_\d+)*\s*")
 
 
 def _family_commands() -> dict[str, tuple[type, tuple[str, ...]]]:
@@ -53,7 +54,19 @@ def _range_arg(text: str) -> tuple[int, int]:
     m = _RANGE.fullmatch(text)
     if not m:
         raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}")
-    return int(m.group(1)), int(m.group(2) or m.group(1))
+    return _int_arg(m.group(1)), _int_arg(m.group(2) or m.group(1))
+
+
+def _int_arg(text: str) -> int:
+    # int(text), or argparse's message for type=int; but a number longer than
+    # int() reads (sys.get_int_max_str_digits()) is named by its digit count.
+    try:
+        return int(text)
+    except ValueError:
+        if _INT.fullmatch(text):
+            digits = sum(map(str.isdecimal, text))
+            raise argparse.ArgumentTypeError(f"a number of {digits} digits is too long") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _emit(args: argparse.Namespace, blocks: Iterable[str]) -> None:
@@ -138,12 +151,10 @@ def cmd_contract(args: argparse.Namespace) -> int:
 def _contraction_blocks(n: int, row: Callable[[int], Sequence[int]],
                         survivors: Iterable[int]) -> Iterator[str]:
     # "# merged" with the last id of G/v, whose n sorted rows are row(u), then
-    # the "# map" lines and the edges of G/v, _WRITE_NODES nodes at a time.
-    # Survivors come in ascending old-id order, numbered 0, 1, ...
+    # the "# map" lines and the edges of G/v, in blocks.  Survivors come in
+    # ascending old-id order, numbered 0, 1, ...
     yield f"# merged {n - 1}\n"
-    rows = zip(survivors, count())
-    while block := "".join([f"# map {old} {new}\n" for old, new in islice(rows, _WRITE_NODES)]):
-        yield block
+    yield from _blocks(f"# map {old} {new}\n" for new, old in enumerate(survivors))
     yield from _edge_lines(n, row)
 
 
@@ -167,7 +178,7 @@ def _add_format(p: argparse.ArgumentParser) -> None:
 
 
 def _add_jobs(p: argparse.ArgumentParser, default: int) -> None:
-    p.add_argument("--jobs", type=int, default=default,
+    p.add_argument("--jobs", type=_int_arg, default=default,
                    help="worker processes for the per-node contractions (default: "
                         "the usable CPUs); the output is byte-identical for any value")
 
@@ -189,7 +200,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for family, (_, names) in families.items():
         p = gen_sub.add_parser(family)
         for name in names:
-            p.add_argument(f"--{name}", type=int, required=True)
+            p.add_argument(f"--{name}", type=_int_arg, required=True)
         p.set_defaults(func=cmd_gen)
         _add_output(p)
 
@@ -208,7 +219,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     con = sub.add_parser("contract", help="contract one node and emit the result")
     con.add_argument("input")
-    con.add_argument("--node", type=int, required=True)
+    con.add_argument("--node", type=_int_arg, required=True)
     _add_output(con)
     con.set_defaults(func=cmd_contract)
 

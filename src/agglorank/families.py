@@ -40,9 +40,9 @@ import re
 from typing import ClassVar
 
 from .errors import EdgeListError, FamilyParameterError
-from .graph import (_CLASS_LINE, _WRITE_NODES, _check_node, _FrozenRecord, _int_field,
+from .graph import (_CLASS_LINE, _blocks, _check_node, _edge_lines, _FrozenRecord, _int_field,
                     _matching_lines, check_class_nodes, from_edge_list, parse_edge_list,
-                    scan_class_comments, to_edge_list)
+                    scan_class_comments)
 
 
 class NodeClass(enum.Enum):
@@ -376,14 +376,10 @@ def _spec_from_fields(name: str, text: str) -> FamilySpec:
 
 def write_labeled(lg: LabeledGraph) -> str:
     """Serialize graph, spec and per-node classes as a commented edge list."""
-    # The class lines are joined _WRITE_NODES nodes at a time, as the edges are.
-    classes = lg.classes
-    blocks = [f"# family {lg.spec.comment_fields()}\n"]
-    for lo in range(0, len(classes), _WRITE_NODES):
-        rows = enumerate(classes[lo:lo + _WRITE_NODES], lo)
-        blocks.append("".join([f"# class {v} {c.value}\n" for v, c in rows]))
-    blocks.append(to_edge_list(lg.graph))
-    return "".join(blocks)
+    # One join of the family line and the blocks of class lines and of edges.
+    classes = _blocks(f"# class {v} {c.value}\n" for v, c in enumerate(lg.classes))
+    return "".join([f"# family {lg.spec.comment_fields()}\n", *classes,
+                    *_edge_lines(lg.graph.n, lg.graph.adj.__getitem__)])
 
 
 def read_labeled(text: str) -> LabeledGraph:

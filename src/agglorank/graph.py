@@ -24,8 +24,9 @@ and the lines that hold its node (``_ends_beside``, by ``_PLAIN_LINE``'s
 syntax), to build G/v in flat int arrays, without its input graph.  The one
 breadth-first search (``_bfs``) and the writer of ``to_edge_list``
 (``_edge_lines``) read rows by index, ``row(u)``, so they serve both a
-``Graph``'s tuples and those arrays; the ``contract`` command writes the
-blocks of ``_edge_lines`` one at a time.
+``Graph``'s tuples and those arrays.  Every text writer, the edges', the
+``contract`` command's, ``gen``'s and the reports' grids, hands its lines to
+one joiner, ``_blocks``, which joins them ``_BLOCK_LINES`` at a time.
 
 The "# class <id> <label>" lines of labeled text are found here too
 (``scan_class_comments``), by one search of the text, so ``rank`` reads
@@ -40,7 +41,7 @@ from __future__ import annotations
 import re
 import sys
 from functools import reduce
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import itemgetter, mul, or_, xor
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
@@ -73,8 +74,8 @@ _CLASS_LINE = re.compile(
 _BLOCK_CHARS = 1 << 12
 # from_edge_list flattens this many edges at a time into the node table.
 _BLOCK_EDGES = 1 << 12
-# to_edge_list joins the lines of this many nodes at a time.
-_WRITE_NODES = 4096
+# Every text writer joins this many lines at a time (``_blocks``).
+_BLOCK_LINES = 4096
 # The most rows a graph's tuple can hold: CPython refuses a longer tuple.
 _MAX_ORDER = sys.maxsize // 8
 # A message quotes a line of up to this many characters, and names a longer
@@ -500,14 +501,18 @@ def to_edge_list(g: Graph) -> str:
 
 
 def _edge_lines(n: int, row: Callable[[int], Sequence[int]]) -> Iterator[str]:
-    # to_edge_list's text of the n sorted rows row(0), row(1), ..., written
-    # _WRITE_NODES nodes at a time.
+    # to_edge_list's text of the n sorted rows row(0), row(1), ..., in blocks.
     if n and not row(n - 1):
         yield f"# n={n}\n"
-    for lo in range(0, n, _WRITE_NODES):
-        nodes = range(lo, min(lo + _WRITE_NODES, n))
-        yield "".join([f"{u} {v}\n" for u, nbrs in zip(nodes, map(row, nodes))
-                       for v in nbrs if v > u])
+    yield from _blocks(f"{u} {v}\n" for u in range(n) for v in row(u) if v > u)
+
+
+def _blocks(lines: Iterable[str]) -> Iterator[str]:
+    # The one joiner of every text writer: the lines, _BLOCK_LINES at a time,
+    # each block joined when it is asked for, so a writer holds one block.
+    lines = iter(lines)
+    while block := "".join(islice(lines, _BLOCK_LINES)):
+        yield block
 
 
 def degree(g: Graph, v: int) -> int:

@@ -11,19 +11,17 @@ alone.  The table is a grid of rows, with the lines that frame it (rank's
 printed as they are; CSV writes the same rows and turns each framing line
 into a ``# `` comment.  ``phi``'s table is ``key value`` lines, with no grid.
 Each format builds only what it writes: the JSON document for JSON, the
-grid's cells for the table and CSV.  The grid goes out in blocks of
-``_BLOCK_ROWS`` rows; ``verify_blocks`` hands them to the writer one at a
-time, and ``render_verify`` joins them.
+grid's cells for the table and CSV.  Each grid row is formatted as one line,
+and the lines go out in the blocks of ``graph._blocks``, the joiner of every
+text writer; ``verify_blocks`` hands them to the writer one at a time.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-# The formats _render picks from.  They are defined in options, which the
-# parser reads without loading this module.
-from .options import FORMATS  # noqa: F401
+from .graph import _blocks
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -32,9 +30,6 @@ if TYPE_CHECKING:
     from .verify import VerifyReport
 
 _SCALE = 10**6
-
-# The rows of a table or CSV grid written in one block.
-_BLOCK_ROWS = 4096
 
 
 def decimal6(x: Fraction) -> str:
@@ -53,7 +48,7 @@ def _render(fmt: str, doc: Callable[[], dict], header: list[str],
 
     ``doc()`` is called for JSON alone and ``rows()``, the grid's cells row by
     row, for the table and CSV alone.  The table calls ``rows()`` twice, for
-    its widths and then for its blocks, so it holds one block's cells at most.
+    its widths and then for its lines, so it holds one row's cells at a time.
     """
     if fmt == "json":
         import json
@@ -62,29 +57,23 @@ def _render(fmt: str, doc: Callable[[], dict], header: list[str],
         return
     if fmt == "csv":
         import csv
-        import io
 
-        def block(grid: Iterable[list[str]]) -> str:
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerows(grid)
-            return buf.getvalue()
+        class Text:  # csv's writerow returns what write returns: the row's text
+            write = str
 
-        mark = "# "
+        line, mark = csv.writer(Text, lineterminator="\n").writerow, "# "
     else:
         widths = list(map(len, header))
         for row in rows():
             widths = list(map(max, widths, map(len, row)))
 
-        def block(grid: Iterable[list[str]]) -> str:
-            return "".join(["  ".join(map(str.ljust, row, widths)).rstrip() + "\n"
-                            for row in grid])
+        def line(row: list[str]) -> str:
+            return "  ".join(map(str.ljust, row, widths)).rstrip() + "\n"
 
         mark = ""
-    yield "".join(f"{mark}{line}\n" for line in head)
-    grid = chain([header], rows())
-    while text := block(islice(grid, _BLOCK_ROWS)):
-        yield text
-    yield "".join(f"{mark}{line}\n" for line in tail)
+    yield "".join(f"{mark}{text}\n" for text in head)
+    yield from _blocks(map(line, chain([header], rows())))
+    yield "".join(f"{mark}{text}\n" for text in tail)
 
 
 def render_rank(report: RankReport, classes: dict[int, str] | None, fmt: str) -> str:
@@ -125,7 +114,7 @@ def render_phi(phi: Fraction, length: Fraction | None, fmt: str) -> str:
 
 
 def verify_blocks(report: VerifyReport, fmt: str) -> Iterator[str]:
-    """``render_verify``'s text in blocks, to be written one at a time."""
+    """A verify report's text in blocks, to be written one at a time."""
     header = ["spec", "class", "analytic", "engine", "match"]
     total, mismatches = report.total, report.mismatches
 
@@ -147,7 +136,3 @@ def verify_blocks(report: VerifyReport, fmt: str) -> Iterator[str]:
     tail += [f"violation: {violation}" for violation in report.violations]
     tail.append(f"summary total={total} mismatches={mismatches}")
     return _render(fmt, doc, header, rows, tail=tail)
-
-
-def render_verify(report: VerifyReport, fmt: str) -> str:
-    return "".join(verify_blocks(report, fmt))

@@ -6,7 +6,7 @@ import pytest
 
 from agglorank.agglomeration import imc_all, phi_and_length
 from agglorank.graph import parse_edge_list
-from agglorank.reports import render_phi, render_rank, render_verify
+from agglorank.reports import render_phi, render_rank, verify_blocks
 from agglorank.verify import VerifyReport, VerifyRow
 
 # P(4) with a class for node 0, none for 1 and 3, and one that needs CSV quoting.
@@ -145,4 +145,4 @@ def test_phi_golden(text, fmt):
 
 @pytest.mark.parametrize("fmt", sorted(VERIFY_GOLDEN))
 def test_verify_golden(fmt):
-    assert render_verify(VERIFY_REPORT, fmt) == VERIFY_GOLDEN[fmt]
+    assert "".join(verify_blocks(VERIFY_REPORT, fmt)) == VERIFY_GOLDEN[fmt]

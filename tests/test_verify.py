@@ -9,7 +9,8 @@ import pytest
 from agglorank import agglomeration, closed_forms, verify
 from agglorank.errors import FormulaDomainError
 from agglorank.families import FAMILIES, MAX_SIZE, PathSpec
-from agglorank.reports import FORMATS, render_verify
+from agglorank.options import FORMATS
+from agglorank.reports import verify_blocks
 from agglorank.verify import (
     DEFAULT_GRIDS,
     VerifyReport,
@@ -171,7 +172,7 @@ def test_each_row_compares_its_values_once():
             VerifyRow("X", "phi", Counted(1, 2), Fraction(1, 3))]
     report = VerifyReport(rows=rows, notes=[], violations=[])
     for fmt in FORMATS:
-        render_verify(report, fmt)
+        "".join(verify_blocks(report, fmt))
     assert report.mismatches == 1
     assert len(compared) == len(rows)
 
