@@ -22,15 +22,15 @@ from __future__ import annotations
 # resident keeps the start's peak memory down.
 from .contraction import contract, contract_text
 from .errors import AggloRankError, ConnectivityError, EdgeListError, FamilyParameterError
-from .graph import (_blocks, _edge_lines, bfs_distances, check_class_nodes, parse_edge_list,
-                    scan_class_comments)
+from .graph import (_blocks, _edge_lines, _quoted, bfs_distances, check_class_nodes,
+                    parse_edge_list, scan_class_comments)
 from .options import FORMATS, usable_cpus
 
 import argparse
 import re
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -53,20 +53,21 @@ def _family_commands() -> dict[str, tuple[type, tuple[str, ...]]]:
 def _range_arg(text: str) -> tuple[int, int]:
     m = _RANGE.fullmatch(text)
     if not m:
-        raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected N or LO..HI, got {_quoted(text, 'value')}")
     return _int_arg(m.group(1)), _int_arg(m.group(2) or m.group(1))
 
 
 def _int_arg(text: str) -> int:
     # int(text), or argparse's message for type=int; but a number longer than
-    # int() reads (sys.get_int_max_str_digits()) is named by its digit count.
+    # int() reads (sys.get_int_max_str_digits()) is named by its digit count,
+    # and any other value longer than a message quotes by its length.
     try:
         return int(text)
     except ValueError:
         if _INT.fullmatch(text):
             digits = sum(map(str.isdecimal, text))
             raise argparse.ArgumentTypeError(f"a number of {digits} digits is too long") from None
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text, 'value')}") from None
 
 
 def _emit(args: argparse.Namespace, blocks: Iterable[str]) -> None:
@@ -129,33 +130,32 @@ def cmd_phi(args: argparse.Namespace) -> int:
 
 
 def cmd_contract(args: argparse.Namespace) -> int:
-    text = _read_text(args)
     # Plain, connected text contracts without building its graph; any other
-    # text, and any fault, takes the parser of record.
-    contracted = contract_text(text, args.node)
-    g = None if contracted else parse_edge_list(text, connected=True)
-    del text  # neither path needs the text to write its result
-    if g is not None:
+    # text, and any fault, comes back to take the parser of record.  No name
+    # here holds the text, so it is freed once contract_text has read it.
+    contracted = contract_text(_read_text(args), args.node)
+    if isinstance(contracted, str):
+        g = parse_edge_list(contracted, connected=True)
+        del contracted  # neither path needs the text to write its result
         if not 0 <= args.node < g.n:
             raise AggloRankError(f"node {args.node} out of range for graph of order {g.n}")
         bfs_distances(g, 0)  # connectivity precondition, names an unreachable node
         result = contract(g, args.node)
         del g  # the input graph is not needed to write the result
-        merged = result.merged_into
-        contracted = (result.graph.n, result.graph.adj.__getitem__,
+        n, merged = result.graph.n, result.merged_into
+        contracted = (n, _edge_lines(n, result.graph.adj.__getitem__),
                       (old for old, new in enumerate(result.new_ids) if new != merged))
     _emit(args, _contraction_blocks(*contracted))
     return EXIT_OK
 
 
-def _contraction_blocks(n: int, row: Callable[[int], Sequence[int]],
-                        survivors: Iterable[int]) -> Iterator[str]:
-    # "# merged" with the last id of G/v, whose n sorted rows are row(u), then
-    # the "# map" lines and the edges of G/v, in blocks.  Survivors come in
-    # ascending old-id order, numbered 0, 1, ...
+def _contraction_blocks(n: int, edges: Iterable[str], survivors: Iterable[int]) -> Iterator[str]:
+    # "# merged" with the last id of G/v, then the "# map" lines, in blocks,
+    # and the blocks of to_edge_list of G/v.  Survivors come in ascending
+    # old-id order, numbered 0, 1, ...
     yield f"# merged {n - 1}\n"
     yield from _blocks(f"# map {old} {new}\n" for new, old in enumerate(survivors))
-    yield from _edge_lines(n, row)
+    yield from edges
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -3,23 +3,25 @@
 ``contract`` contracts a built graph.  ``contract_text`` builds G/v from plain
 text (``graph._plain_text``) without the input graph: its id blocks, less the
 edges that touch N[v], are renumbered through a node table into one flat int
-array of G/v's edges, and ``_flat_rows`` turns that into G/v's rows in two
-more flat arrays (CSR, compressed sparse row): the row offsets and the
-neighbours.  Nothing is made per node.  Either way the merged node is G/v's
-last id, n(G/v) - 1.  ``graph`` reads the text and searches the rows.
+array of G/v's edges.  Canonical text leaves that array in canonical order,
+so it is checked connected by a union-find and written as it stands.  Any
+other order goes through G/v's rows, which ``_flat_rows`` sorts in two more
+flat arrays (CSR, compressed sparse row: the row offsets and the
+neighbours), searched and written by ``graph``.  Nothing is made per node.
+Either way the merged node is G/v's last id, n(G/v) - 1.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from functools import cached_property, partial
-from itertools import accumulate, chain, compress, count, filterfalse, islice, repeat
-from operator import ge, sub
+from bisect import bisect_right
+from functools import cached_property
+from itertools import accumulate, chain, compress, count, filterfalse, islice, pairwise, repeat
+from operator import eq, ge, lt, sub
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .errors import DegenerateOrderError
-from .graph import (Graph, _bfs, _check_node, _ends_beside, _FrozenRecord, _plain_blocks,
-                    _plain_text)
+from .graph import (Graph, _bfs, _blocks, _check_node, _edge_lines, _ends_beside, _FrozenRecord,
+                    _plain_blocks, _plain_text, _unreachable)
 
 if TYPE_CHECKING:
     from array import array
@@ -91,73 +93,135 @@ def contract(g: Graph, v: int) -> ContractionResult:
     return ContractionResult(graph=contracted, merged_into=merged, new_ids=new_of)
 
 
-def contract_text(text: str, v: int) -> tuple[int, Callable[[int], Sequence[int]],
-                                              Iterator[int]] | None:
+def contract_text(text: str, v: int) -> tuple[int, Iterator[str], Iterator[int]] | str:
     """Contract v in plain, connected edge-list text without building its graph.
 
-    Returns the order n of G/v, whose last id n - 1 is the merged node, its
-    rows ``row(u)`` (ascending), and the surviving old ids in ascending order,
-    whose new ids are 0, 1, ...: the rows of ``contract`` of the parsed text.
-    None when the text is not plain (``graph._plain_text``, before any search)
-    or holds a fault, when no edge holds v (v isolated or out of the order), or
-    when G is disconnected, so that the parser of record decides.  N(v) comes
-    from the lines that hold v (``graph._ends_beside``).  Then each block of
-    old ids, less its pairs that touch S = N[v], is renumbered into one flat
-    array of G/v's edges, and every survivor next to S is joined once to the
-    merged node, old id top + 1, after the last block.  A node table renumbers each
-    old id once, as it grows over it: u becomes u minus the members of S below
-    it, which sends top + 1 to n - 1.  ``_flat_rows`` makes the rows of that
-    array (CSR): no list per node, no tuple and no ``Graph`` is made for G/v.
-    A self-loop or a duplicate on an edge that touches S would vanish, so a set
-    of those pairs finds it; ``_flat_rows`` finds the rest.  G is connected
-    exactly when G/v is, since N[v] is connected, which ``graph._bfs``, the
-    search of ``is_connected``, checks on the rows.
+    Returns the order n of G/v, whose last id n - 1 is the merged node, the
+    blocks of ``to_edge_list`` of G/v, and the surviving old ids in ascending
+    order, whose new ids are 0, 1, ...: ``contract`` of the parsed text.
+    Returns the text itself, as given, for the parser of record to decide,
+    when it is not plain (``graph._plain_text``, before any search) or holds
+    a fault, when no edge holds v (v isolated or out of the order), or when
+    G is disconnected and its lines are not canonical.  N(v) comes from the
+    lines that hold v (``graph._ends_beside``).  Each block of old ids, less
+    its pairs that touch S = N[v], is renumbered into one flat array of G/v's
+    edges by a node table, which grows over each old id once: u becomes u
+    minus the members of S below it, a count fixed between two members, so
+    the table grows by ranges.  A self-loop or a duplicate on an edge that
+    touches S would vanish, so a set of those pairs finds it.
+
+    Canonical text (u < w on each line, lines strictly ascending), checked
+    block by block, holds no other repeat and leaves the array canonical.
+    The text is then dropped, so it is freed if the caller holds none; G is
+    checked connected (``_check_connected``), and G/v is written from the
+    array (``_pair_lines``).  Any other order goes through G/v's rows
+    (``_flat_rows``), which find a repeat, and which ``graph._bfs`` searches
+    and ``graph._edge_lines`` writes.  No tuple and no ``Graph`` is made.
     """
     from array import array  # only contract loads it: rank and phi do not
 
     if (plain := _plain_text(text, connected=True)) is None:
-        return None
-    text, bound = plain
+        return text
+    lines, bound = plain
+    del plain
     if bound >= 1 << 30:  # too many lines for _ID
-        return None
-    if not (others := _ends_beside(text, v)):
-        return None  # v is isolated or out of the order
+        return text
+    if not (others := _ends_beside(lines, v)):
+        return text  # v is isolated or out of the order
     try:
         removed = {v, *map(int, others)}
     except ValueError:  # an id longer than int() accepts
-        return None
-    below = partial(bisect_left, sorted(removed))
+        return text
+    # From one member of S up to the next, the old ids have as many members
+    # below them; none reaches the bound.
+    starts = pairwise([0, *(s + 1 for s in sorted(removed)), bound])
+    table = chain.from_iterable(range(lo - k, hi - k) for k, (lo, hi) in enumerate(starts))
     node = array(_ID)  # node[u] is the new id of old id u
     ids = array(_ID)  # the new ids u0, w0, u1, w1, ... of G/v's edges
     touched: set[tuple[int, ...]] = set()
-    top = -1
-    for block in _plain_blocks(text):
+    top, last, ordered = -1, (-1, -1), True
+    for block in _plain_blocks(lines):
         if block is None:
-            return None
+            return text
         # An id at or above the bound makes more nodes than the edges connect.
         if (top := max(top, max(block, default=-1))) >= bound:
-            return None
+            return text
+        if ordered:  # so far canonical: each line above the last, smaller end first
+            us, ws = block[::2], block[1::2]
+            pairs = [last, *zip(us, ws)]
+            ordered = all(map(lt, us, ws)) and all(map(lt, pairs, islice(pairs, 1, None)))
+            last = pairs[-1]
         # Take out each pair that touches S, the last first, so that the
         # indices of the others hold.
         hits = compress(count(), map(removed.__contains__, block))
         for at in sorted({i & ~1 for i in hits}, reverse=True):
             key = tuple(sorted(block[at:at + 2]))
             if key[0] == key[1] or key in touched:
-                return None
+                return text
             touched.add(key)
             del block[at:at + 2]
-        new = range(len(node), top + 1)
-        node.extend(map(sub, new, map(below, new)))
+        node.extend(islice(table, top + 1 - len(node)))
         ids.fromlist(list(map(node.__getitem__, block)))
-    # The merged node enters as old id top + 1, above all of S.
-    node.append(top + 1 - len(removed))
-    for u in sorted({u for pair in touched for u in pair} - removed):
-        ids.extend((node[u], node[-1]))
-    n = node[-1] + 1
+    n = top + 2 - len(removed)
+    touching = [node[u] for u in sorted({u for pair in touched for u in pair} - removed)]
     del node
-    if (row := _flat_rows(ids, n)) is None or len(_bfs(n, row, 0)[0]) < n:
-        return None
-    return n, row, filterfalse(removed.__contains__, range(top + 1))
+    survivors = filterfalse(removed.__contains__, range(top + 1))
+    if not ordered:  # the text is held, for the parser of record if G is disconnected
+        for u in touching:
+            ids.extend((u, n - 1))
+        if (row := _flat_rows(ids, n)) is None or len(_bfs(n, row, 0)[0]) < n:
+            return text
+        return n, _edge_lines(n, row), survivors
+    del text, lines
+    column = memoryview(ids)
+    us, ws = column[::2], column[1::2]
+    _check_connected(n, us, ws, touching, removed)
+    return n, _blocks(_pair_lines(us, ws, touching, n - 1)), survivors
+
+
+def _pair_lines(us: Sequence[int], ws: Sequence[int], touching: Sequence[int],
+                merged: int) -> Iterator[str]:
+    # to_edge_list's lines of G/v: the canonical edges us[i] < ws[i] between
+    # survivors, with each survivor in touching (ascending) joined to the
+    # merged node right after its last of them, found by bisect.
+    if not touching:  # G/v is the merged node alone
+        yield "# n=1\n"
+    lo = 0
+    for u in touching:
+        hi = bisect_right(us, u, lo)
+        yield from map("{} {}\n".format, us[lo:hi], ws[lo:hi])
+        yield f"{u} {merged}\n"
+        lo = hi
+    yield from map("{} {}\n".format, us[lo:], ws[lo:])
+
+
+def _check_connected(n: int, us: Sequence[int], ws: Sequence[int], touching: Sequence[int],
+                     removed: set[int]) -> None:
+    # G is connected exactly when G/v is, as N[v] is: a union-find over G/v's
+    # edges, with path halving.  No parent is above its node, so node 0 is a
+    # root, the only one if G/v is connected.  If not, raise what
+    # bfs_distances raises on G, for the lowest old id not joined to old id
+    # 0, the members of S joined as the merged node is.
+    from array import array
+
+    parent = array(_ID, range(n))
+    for u, w in chain(zip(us, ws), zip(touching, repeat(n - 1))):
+        while (p := parent[u]) != u:
+            parent[u] = u = parent[p]
+        while (p := parent[w]) != w:
+            parent[w] = w = parent[p]
+        if u < w:
+            parent[w] = u
+        elif w < u:
+            parent[u] = w
+    if sum(map(eq, parent, range(n))) == 1:
+        return
+    for u in range(n):  # each parent is below its node, so rooted first
+        parent[u] = parent[parent[u]]
+    survivor = count()
+    root = [parent[n - 1 if old in removed else next(survivor)]
+            for old in range(n - 1 + len(removed))]
+    raise _unreachable(next(old for old, r in enumerate(root) if r != root[0]), 0)
 
 
 def _flat_rows(ids: array, n: int) -> Callable[[int], array] | None:

@@ -21,10 +21,12 @@ through ``_validated``, which gives the same graph and is the only code that
 raises.  ``from_edge_list`` builds the same way and names a fault from
 ``_validated``.  ``contraction.contract_text`` reads the same plain blocks,
 and the lines that hold its node (``_ends_beside``, by ``_PLAIN_LINE``'s
-syntax), to build G/v in flat int arrays, without its input graph.  The one
-breadth-first search (``_bfs``) and the writer of ``to_edge_list``
+syntax), to build G/v in flat int arrays, without its input graph, and
+raises what the one breadth-first search (``_bfs``) raises on a disconnected
+input (``_unreachable``).  That search and the writer of ``to_edge_list``
 (``_edge_lines``) read rows by index, ``row(u)``, so they serve both a
-``Graph``'s tuples and those arrays.  Every text writer, the edges', the
+``Graph``'s tuples and the flat rows that ``contract_text`` makes of text in
+any order but the canonical one.  Every text writer, the edges', the
 ``contract`` command's, ``gen``'s and the reports' grids, hands its lines to
 one joiner, ``_blocks``, which joins them ``_BLOCK_LINES`` at a time.
 
@@ -78,8 +80,8 @@ _BLOCK_EDGES = 1 << 12
 _BLOCK_LINES = 4096
 # The most rows a graph's tuple can hold: CPython refuses a longer tuple.
 _MAX_ORDER = sys.maxsize // 8
-# A message quotes a line of up to this many characters, and names a longer
-# one by its length.
+# A message quotes a line, or an option's value, of up to this many
+# characters, and names a longer one by its length.
 _QUOTED = 80
 
 
@@ -187,8 +189,8 @@ def _id(x: int) -> str:
     return str(x) if abs(x).bit_length() <= 64 else f"{'-' * (x < 0)}<{_digits(x)} digits>"
 
 
-def _quoted(line: str) -> str:
-    return repr(line) if len(line) <= _QUOTED else f"a line of {len(line)} characters"
+def _quoted(text: str, what: str = "line") -> str:
+    return repr(text) if len(text) <= _QUOTED else f"a {what} of {len(text)} characters"
 
 
 def _check_node(g: Graph, v: int) -> None:
@@ -554,9 +556,13 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
         for u in order[start:end]:
             dist[u] = d
     if len(order) < g.n:
-        v = dist.index(-1)
-        raise ConnectivityError(f"node {v} is unreachable from node {source}", unreachable=v)
+        raise _unreachable(dist.index(-1), source)
     return dist
+
+
+def _unreachable(v: int, source: int) -> ConnectivityError:
+    # The error of a search from source that does not reach node v, the lowest.
+    return ConnectivityError(f"node {v} is unreachable from node {source}", unreachable=v)
 
 
 def is_connected(g: Graph) -> bool:

@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, formats, exit codes, determinism."""
 
+import array
 import codecs
 import contextlib
 import io
@@ -264,15 +265,16 @@ class TestPhi:
 
 def contract_both_ways(text, node):
     """``contract``'s (exit code, stdout, stderr, --output bytes) on text, first
-    as the command runs, then with ``contract_text`` declining, so that the
-    text goes parse_edge_list, bfs_distances, contract as it did before."""
+    as the command runs, then with ``contract_text`` declining (handing the
+    text back), so that the text goes parse_edge_list, bfs_distances, contract
+    as it did before."""
     outcomes = []
     with tempfile.TemporaryDirectory() as tmp:
         source, target = Path(tmp, "in.edges"), Path(tmp, "out.edges")
         source.write_bytes(text.encode())
         argv = ["contract", str(source), "--node", str(node)]
         for declined in (False, True):
-            with mock.patch.object(cli, "contract_text", lambda text, v: None) if declined \
+            with mock.patch.object(cli, "contract_text", _declined) if declined \
                     else contextlib.nullcontext():
                 target.unlink(missing_ok=True)
                 out, err = io.StringIO(), io.StringIO()
@@ -284,12 +286,16 @@ def contract_both_ways(text, node):
     return outcomes
 
 
+def _declined(text, v):
+    return text
+
+
 def assert_contract_as_before(text, node, new_path):
     """The new path (when ``new_path``) and the old give the same bytes, the
     same errors and the same exit codes; a success prints ``contract``'s result."""
     new, old = contract_both_ways(text, node)
     assert new == old
-    assert (contract_text(text, node) is not None) == new_path
+    assert (contract_text(text, node) is not text) == new_path
     code, out, err, written = new
     if code == 0:
         result = contract(parse_edge_list(text), node)
@@ -382,7 +388,7 @@ class TestContract:
         g = parse_edge_list(text, connected=True)
         hub = max(range(g.n), key=lambda v: len(g.adj[v]))
         source = write(tmp_path, "sparse.edges", text)
-        with mock.patch.object(cli, "contract_text", lambda text, v: None):
+        with mock.patch.object(cli, "contract_text", _declined):
             fallback = run(capsys, "contract", source, "--node", str(hub))
         assert fallback[0] == 0
         monkeypatch.setattr(graph, "Graph", _no_graph)
@@ -400,7 +406,7 @@ class TestContract:
         # int() refuses the id, so the line that holds it cannot be read
         # without the line path, which names it by its digit count.
         text = f"0 1\n1 {_LONG}\n"
-        assert contract_text(text, 1) is None
+        assert contract_text(text, 1) is text
         source = write(tmp_path, "long.edges", text)
         assert run(capsys, command, source, *TestConnectivityPrecondition.ARGS[command]) \
             == (2, "", f"error: line 2: node id of {len(_LONG)} digits is too long\n")
@@ -410,7 +416,7 @@ class TestContract:
         # The lines that hold v read, but the block with the long id does not,
         # so contract_text declines and the line parser names the line.
         text = f"0 1\n1 2\n2 {_LONG}\n"
-        assert contract_text(text, 0) is None
+        assert contract_text(text, 0) is text
         with pytest.raises(EdgeListError) as info:
             parse_edge_list(text, connected=True)
         source = write(tmp_path, "long.edges", text)
@@ -496,8 +502,8 @@ class TestContractNumbering:
     @pytest.mark.parametrize("node", [0, 1, 4])
     def test_an_id_at_the_bound_declines(self, node):
         text = "0 1\n1 4\n"
-        with mock.patch("agglorank.contraction._bfs", _no_search):
-            assert contract_text(text, node) is None
+        with mock.patch("agglorank.contraction._check_connected", _no_search):
+            assert contract_text(text, node) is text
         assert_contract_as_before(text, node, new_path=False)
         # Run once to stdout and once with --output, each with the same error.
         error = "error: 2 edges cannot connect 5 nodes (ids not dense?): a node is unreachable\n"
@@ -525,27 +531,38 @@ class TestContractNumbering:
         assert list(contracted[2]) == [0, 2, 4, 6]
         assert_contract_as_before(text, 3, new_path=True)
 
-    def test_renumbering_runs_once_per_node_of_the_table(self, monkeypatch):
-        # Each old id is renumbered as the node table first grows over it, over
-        # blocks of a few lines: ids 0..top once each, in order.  The merged
-        # node, old id top + 1, takes the last new id without a search.
+    @pytest.mark.parametrize("text,node", [
+        ("0 2\n3 2\n0 3\n5 0\n1 4\n4 5\n1 6\n", 1),      # S = N[1] = {1, 4, 6}
+        ("0 1\n0 6\n1 2\n2 3\n3 4\n4 5\n5 6\n", 0),      # S = {0, 1, 6}, at both ends
+        ("0 5\n1 2\n1 5\n2 3\n3 4\n4 5\n5 6\n", 5),      # S = {0, 1, 4, 5, 6}
+    ], ids=["shuffled", "canonical", "canonical, S in a run"])
+    def test_renumbering_runs_once_per_node_of_the_table(self, monkeypatch, text, node):
+        # The node table grows over blocks of a few lines, by ranges between
+        # the members of S, and holds u minus the members of S below it for
+        # every old id u, 0..top, once each.  The merged node takes the last
+        # new id outside it.
         monkeypatch.setattr(graph, "_BLOCK_CHARS", 8)
-        searched = []
+        made = []
 
-        def bisect_left(members, u):
-            searched.append(u)
-            return sum(s < u for s in members)
+        class Recorded(array.array):
+            def __new__(cls, *args):
+                made.append(super().__new__(cls, *args))
+                return made[-1]
 
-        monkeypatch.setattr(contraction, "bisect_left", bisect_left)
-        text = "0 2\n3 2\n0 3\n5 0\n1 4\n4 5\n1 6\n"  # S = N[1] = {1, 4, 6}
-        assert rows_of(contract_text(text, 1)) \
-            == from_edge_list([(0, 1), (2, 1), (0, 2), (3, 0), (3, 4)]).adj
-        assert searched == list(range(7))
+        g = parse_edge_list(text, connected=True)
+        members = {node, *g.adj[node]}
+        with monkeypatch.context() as patch:
+            patch.setattr(array, "array", Recorded)
+            contracted = contract_text(text, node)
+        assert rows_of(contracted) == contract(g, node).graph.adj
+        node_table = made[0]
+        assert list(node_table) == [u - sum(s < u for s in members) for u in range(g.n)]
 
-    # Rows come out ascending for any line order.  Sorted lines fill them in
-    # order, whichever end comes first, and are checked once; any other order
-    # is sorted by one transposing pass, and checked again.
-    @pytest.mark.parametrize("order,checks", [("canonical", 1), ("larger end first", 1),
+    # Canonical lines need no rows.  Any other order goes through rows, which
+    # come out ascending: sorted lines with the larger end first fill them in
+    # order and are checked once; any other order is sorted by one
+    # transposing pass, and checked again.
+    @pytest.mark.parametrize("order,checks", [("canonical", 0), ("larger end first", 1),
                                               ("shuffled", 2)])
     def test_rows_ascend_for_any_line_order(self, monkeypatch, order, checks):
         g = parse_edge_list(random_edge_text(300, 900), connected=True)
@@ -565,14 +582,137 @@ class TestContractNumbering:
         assert_contract_as_before(text, hub, new_path=True)
 
 
+def _no_rows(ids, n):
+    raise AssertionError("canonical text went through rows")
+
+
+class TestSortedText:
+    """Canonical text (u < w on each line, lines strictly ascending) is
+    contracted without rows: its edge array is written as it stands, and G is
+    checked connected by a union-find over it.  Text with any line out of
+    place goes through rows.  The bytes, the errors and the exit codes are
+    those of the parser of record."""
+
+    @given(st.integers(2, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_canonical_text_contracts_as_the_parser_of_record_at_every_node(self, n, seed):
+        g = random_connected_graph(random.Random(seed), n)
+        text = to_edge_list(g)
+        with mock.patch.object(contraction, "_flat_rows", _no_rows):
+            for node in range(n):
+                assert_contract_as_before(text, node, new_path=True)
+
+    @pytest.mark.parametrize("text,node", [
+        ("0 1\r\n0 2\r\n1 3\r\n2 3\r\n3 4\r\n", 1),        # CRLF
+        ("# class 0 x\n0 1\n# 2 1\n0 2\n1 3\n#\n2 3\n3 4", 3),  # comments, no last break
+        (K4, 1),                                               # the one-node result
+        ("0 1\n0 4\n1 2\n2 3\n3 4\n4 5\n", 0),                # S at the bottom of the ids
+        ("0 1\n0 4\n1 2\n2 3\n3 4\n4 5\n", 5),                # S at the top
+        ("0 1\n1 2\n1 3\n1 4\n", 1),                           # every survivor next to S
+    ], ids=["crlf", "comments", "one node", "S at the bottom", "S at the top", "star"])
+    def test_canonical_forms_take_no_rows(self, text, node):
+        with mock.patch.object(contraction, "_flat_rows", _no_rows):
+            assert_contract_as_before(text, node, new_path=True)
+
+    def test_a_line_out_of_order_after_a_block_boundary_goes_through_rows(self, monkeypatch):
+        # Blocks of two lines: lines 1 and 2 are swapped, so each block is in
+        # order and only the first line of the second block is out of place.
+        monkeypatch.setattr(graph, "_BLOCK_CHARS", 8)
+        text = "0 1\n2 3\n1 2\n3 4\n4 5\n5 6\n"
+        assert [block for block in graph._plain_blocks(text)][:2] == [[0, 1, 2, 3], [1, 2, 3, 4]]
+        rows = []
+        flat_rows = contraction._flat_rows
+        monkeypatch.setattr(contraction, "_flat_rows", lambda *args: rows.append(0)
+                            or flat_rows(*args))
+        for node in (0, 3, 6):
+            assert_contract_as_before(text, node, new_path=True)
+        assert rows
+
+    # A repeated line breaks the strict ascent, so the text is not canonical;
+    # either a repeat that touches S or the rows find it, and the text goes
+    # back to the parser of record, which names the line.
+    @pytest.mark.parametrize("node", [0, 2], ids=["repeat away from S", "repeat in S's edges"])
+    def test_a_duplicate_in_a_sorted_run_declines(self, node):
+        text = "0 1\n1 2\n2 3\n2 3\n3 4\n"
+        assert_contract_as_before(text, node, new_path=False)
+        assert contract_both_ways(text, node)[0][:3] == (
+            2, "", 2 * "error: line 4: duplicate edge 2 3\n")
+
+    # Disconnected plain text is read to its end, then the union-find finds
+    # it disconnected: contract_text raises the error of the parser of
+    # record, which names the lowest node not joined to node 0, with no parse.
+    @pytest.mark.parametrize("text,node,unreachable", [
+        ("0 1\n0 2\n1 2\n3 4\n", 0, 3),    # node 0 in N[v]
+        ("0 1\n0 2\n1 2\n3 4\n", 1, 3),
+        ("0 1\n0 2\n1 2\n3 4\n", 3, 3),    # node 0 a survivor, the lowest unjoined in S
+        ("0 1\n0 2\n1 2\n2 4\n", 0, 3),    # node 3 is in no edge, below the bound
+        ("0 1\n0 2\n1 2\n2 4\n", 4, 3),
+    ])
+    def test_disconnected_text_raises_the_error_of_the_parser_of_record(
+            self, capsys, monkeypatch, tmp_path, text, node, unreachable):
+        with pytest.raises(ConnectivityError) as parsed:
+            graph.bfs_distances(parse_edge_list(text, connected=True), 0)
+        with pytest.raises(ConnectivityError) as contracted:
+            contract_text(text, node)
+        assert (str(contracted.value), contracted.value.unreachable) \
+            == (str(parsed.value), parsed.value.unreachable) \
+            == (f"node {unreachable} is unreachable from node 0", unreachable)
+        source = write(tmp_path, "dis.edges", text)
+        with mock.patch.object(cli, "contract_text", _declined):
+            expected = run(capsys, "contract", source, "--node", str(node))
+        assert expected == (3, "", f"error: {parsed.value}\n")
+        monkeypatch.setattr(cli, "parse_edge_list", _no_parse)
+        assert run(capsys, "contract", source, "--node", str(node)) == expected
+
+    def test_the_text_is_freed_once_parsed(self, monkeypatch, tmp_path):
+        # The command keeps no reference to the text, and contract_text drops
+        # its own once the last block is read, so while G is checked connected
+        # and G/v is written the traced memory holds G/v's edge array (8 bytes
+        # an edge) and a block of lines, not the text (21 characters an edge
+        # here); a text held past parsing overshoots the bound.
+        g = parse_edge_list(random_edge_text(20_000, 40_000), connected=True)
+        text = to_edge_list(g)
+        hub = max(range(g.n), key=lambda v: len(g.adj[v]))
+        bound = 8 * g.edge_count() + len(text) // 2
+        source = write(tmp_path, "canonical.edges", text)
+        del g, text
+        argv = ["contract", source, "--node", str(hub), "--output", str(tmp_path / "out.edges")]
+        main(argv)  # imports and compiled patterns
+        held = []
+        emit = cli._emit
+
+        def traced_emit(args, blocks):
+            def traced():
+                for block in blocks:
+                    held.append(tracemalloc.get_traced_memory()[0])
+                    yield block
+            emit(args, traced())
+
+        check = contraction._check_connected
+        monkeypatch.setattr(cli, "_emit", traced_emit)
+        monkeypatch.setattr(contraction, "_check_connected", lambda *args: held.append(
+            tracemalloc.get_traced_memory()[0]) or check(*args))
+        tracemalloc.start()
+        try:
+            code = main(argv)
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(held) > 2
+        assert max(held) < bound, f"{max(held)} B held after parsing, bound {bound} B"
+
+
 def rows_of(contracted):
-    # The rows of contract_text's G/v as tuples, as a Graph holds them.
-    n, row, _ = contracted
-    return tuple(tuple(row(u)) for u in range(n))
+    # The rows of contract_text's G/v as tuples, as a Graph holds them, read
+    # back from its text, which is canonical.
+    n, edges, _ = contracted
+    text = "".join(edges)
+    g = parse_edge_list(text)
+    assert (g.n, to_edge_list(g)) == (n, text)
+    return g.adj
 
 
-def _no_search(n, row, source):
-    raise AssertionError("the connectivity search ran")
+def _no_search(*args):
+    raise AssertionError("the connectivity check ran")
 
 
 def _no_parse(text, connected=False):
@@ -744,6 +884,32 @@ def test_an_over_long_number_option_exits_2_with_a_short_error(capsys, argv):
     assert len(error) <= 200
 
 
+# An option value that is no number and longer than a message quotes is
+# named by its length; one of graph._QUOTED characters is quoted as before.
+_NO_NUMBER = "x" * 5000
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "path", "--n", _NO_NUMBER), "expected N or LO..HI, got {}"),
+    (("verify", "path", "--n", f"4..{_NO_NUMBER}"), "expected N or LO..HI, got {}"),
+    (("contract", "in.edges", "--node", _NO_NUMBER), "invalid int value: {}"),
+    (("rank", "in.edges", "--jobs", _NO_NUMBER), "invalid int value: {}"),
+    (("gen", "path", "--n", _NO_NUMBER), "invalid int value: {}"),
+], ids=["verify-n", "verify-n-hi", "node", "jobs", "gen-n"])
+@pytest.mark.parametrize("length", [graph._QUOTED, None], ids=["quoted", "long"])
+def test_a_long_value_that_is_no_number_exits_2_with_a_short_error(capsys, argv, message,
+                                                                   length):
+    value = argv[-1][:length]
+    with pytest.raises(SystemExit) as info:
+        main([*argv[:-1], value])
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out) == (2, "")
+    shown = repr(value) if length else f"a value of {len(value)} characters"
+    error = captured.err.splitlines()[-1]
+    assert error.endswith(f": {message.format(shown)}")
+    assert len(error) < 200
+
+
 @st.composite
 def hostile_texts(draw):
     """A valid connected edge list with one fault: a long field, a sign, a
@@ -848,7 +1014,7 @@ def test_any_hostile_text_is_refused_in_memory_linear_in_its_length(text):
     error, peak = _traced(lambda: parse_edge_list(text, connected=True))
     assert isinstance(error, (EdgeListError, ConnectivityError)) and peak <= bound
     contracted, peak = _traced(lambda: contract_text(text, 0))
-    assert contracted is None and peak <= bound
+    assert contracted is text and peak <= bound
 
 
 class TestVerify:
