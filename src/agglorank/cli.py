@@ -22,7 +22,7 @@ from __future__ import annotations
 # resident keeps the start's peak memory down.
 from .contraction import contract, contract_text
 from .errors import AggloRankError, ConnectivityError, EdgeListError, FamilyParameterError
-from .graph import (_blocks, _edge_lines, _quoted, bfs_distances, check_class_nodes,
+from .graph import (_blocks, _edge_lines, _id, _quoted, bfs_distances, check_class_nodes,
                     parse_edge_list, scan_class_comments)
 from .options import FORMATS, usable_cpus
 
@@ -138,13 +138,12 @@ def cmd_contract(args: argparse.Namespace) -> int:
         g = parse_edge_list(contracted, connected=True)
         del contracted  # neither path needs the text to write its result
         if not 0 <= args.node < g.n:
-            raise AggloRankError(f"node {args.node} out of range for graph of order {g.n}")
+            raise AggloRankError(f"node {_id(args.node)} out of range for graph of order {g.n}")
         bfs_distances(g, 0)  # connectivity precondition, names an unreachable node
         result = contract(g, args.node)
         del g  # the input graph is not needed to write the result
-        n, merged = result.graph.n, result.merged_into
-        contracted = (n, _edge_lines(n, result.graph.adj.__getitem__),
-                      (old for old, new in enumerate(result.new_ids) if new != merged))
+        contracted = (result.graph.n, _edge_lines(result.graph),
+                      (old for old, new in enumerate(result.new_ids) if new != result.merged_into))
     _emit(args, _contraction_blocks(*contracted))
     return EXIT_OK
 

@@ -3,12 +3,10 @@
 ``contract`` contracts a built graph.  ``contract_text`` builds G/v from plain
 text (``graph._plain_text``) without the input graph: its id blocks, less the
 edges that touch N[v], are renumbered through a node table into one flat int
-array of G/v's edges.  Canonical text leaves that array in canonical order,
-so it is checked connected by a union-find and written as it stands.  Any
-other order goes through G/v's rows, which ``_flat_rows`` sorts in two more
-flat arrays (CSR, compressed sparse row: the row offsets and the
-neighbours), searched and written by ``graph``.  Nothing is made per node.
-Either way the merged node is G/v's last id, n(G/v) - 1.
+array of G/v's edges, canonical if the text is and otherwise sorted into
+canonical columns (``_sorted_edges``).  G is checked connected by a
+union-find over them, and G/v is written from them.  Nothing is made per
+node.  The merged node is G/v's last id, n(G/v) - 1.
 """
 
 from __future__ import annotations
@@ -16,17 +14,17 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import cached_property
 from itertools import accumulate, chain, compress, count, filterfalse, islice, pairwise, repeat
-from operator import eq, ge, lt, sub
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from operator import eq, lt
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import DegenerateOrderError
-from .graph import (Graph, _bfs, _blocks, _check_node, _edge_lines, _ends_beside, _FrozenRecord,
-                    _plain_blocks, _plain_text, _unreachable)
+from .graph import (Graph, _blocks, _check_node, _ends_beside, _FrozenRecord, _plain_blocks,
+                    _plain_text, _unreachable)
 
 if TYPE_CHECKING:
     from array import array
 
-# The typecode of G/v's flat arrays, C int: the ids and the 2m row offsets of
+# The typecode of G/v's flat arrays, C int: the ids and the m sort offsets of
 # a text of fewer than 2^30 lines fit it, and a longer text (over 4 GiB)
 # declines.
 _ID = "i"
@@ -101,29 +99,27 @@ def contract_text(text: str, v: int) -> tuple[int, Iterator[str], Iterator[int]]
     order, whose new ids are 0, 1, ...: ``contract`` of the parsed text.
     Returns the text itself, as given, for the parser of record to decide,
     when it is not plain (``graph._plain_text``, before any search) or holds
-    a fault, when no edge holds v (v isolated or out of the order), or when
-    G is disconnected and its lines are not canonical.  N(v) comes from the
-    lines that hold v (``graph._ends_beside``).  Each block of old ids, less
-    its pairs that touch S = N[v], is renumbered into one flat array of G/v's
-    edges by a node table, which grows over each old id once: u becomes u
-    minus the members of S below it, a count fixed between two members, so
-    the table grows by ranges.  A self-loop or a duplicate on an edge that
-    touches S would vanish, so a set of those pairs finds it.
+    a fault, or when no edge holds v (v isolated or out of the order).
+    Raises what the parser of record raises when G is disconnected.  N(v)
+    comes from the lines that hold v (``graph._ends_beside``).  Each block of
+    old ids, less its pairs that touch S = N[v], is renumbered into one flat
+    array of G/v's edges by a node table, which grows over each old id once:
+    u becomes u minus the members of S below it, a count fixed between two
+    members, so the table grows by ranges.  A self-loop or a duplicate on an
+    edge that touches S would vanish, so a set of those pairs finds it.
 
     Canonical text (u < w on each line, lines strictly ascending), checked
-    block by block, holds no other repeat and leaves the array canonical.
-    The text is then dropped, so it is freed if the caller holds none; G is
-    checked connected (``_check_connected``), and G/v is written from the
-    array (``_pair_lines``).  Any other order goes through G/v's rows
-    (``_flat_rows``), which find a repeat, and which ``graph._bfs`` searches
-    and ``graph._edge_lines`` writes.  No tuple and no ``Graph`` is made.
+    block by block, holds no other repeat and leaves the array canonical; any
+    other order is sorted into canonical columns (``_sorted_edges``), which
+    find a repeat.  The text is then dropped, so it is freed if the caller
+    holds none; G is checked connected (``_check_connected``), and G/v is
+    written from the columns (``_pair_lines``).  No ``Graph`` is made.
     """
     from array import array  # only contract loads it: rank and phi do not
 
     if (plain := _plain_text(text, connected=True)) is None:
         return text
     lines, bound = plain
-    del plain
     if bound >= 1 << 30:  # too many lines for _ID
         return text
     if not (others := _ends_beside(lines, v)):
@@ -166,15 +162,13 @@ def contract_text(text: str, v: int) -> tuple[int, Iterator[str], Iterator[int]]
     touching = [node[u] for u in sorted({u for pair in touched for u in pair} - removed)]
     del node
     survivors = filterfalse(removed.__contains__, range(top + 1))
-    if not ordered:  # the text is held, for the parser of record if G is disconnected
-        for u in touching:
-            ids.extend((u, n - 1))
-        if (row := _flat_rows(ids, n)) is None or len(_bfs(n, row, 0)[0]) < n:
-            return text
-        return n, _edge_lines(n, row), survivors
-    del text, lines
-    column = memoryview(ids)
-    us, ws = column[::2], column[1::2]
+    if ordered:
+        column = memoryview(ids)
+        edges = column[::2], column[1::2]
+    elif (edges := _sorted_edges(ids, n - 1)) is None:
+        return text
+    del text, lines, plain
+    us, ws = edges
     _check_connected(n, us, ws, touching, removed)
     return n, _blocks(_pair_lines(us, ws, touching, n - 1)), survivors
 
@@ -224,62 +218,41 @@ def _check_connected(n: int, us: Sequence[int], ws: Sequence[int], touching: Seq
     raise _unreachable(next(old for old, r in enumerate(root) if r != root[0]), 0)
 
 
-def _flat_rows(ids: array, n: int) -> Callable[[int], array] | None:
-    """``row(u)``, the ascending neighbours of u in the n-node graph whose
-    edges are ids = u0, w0, u1, w1, ...
-
-    Row u is ``nbr[start[u]:start[u + 1]]`` (CSR): one array of row offsets
-    and one of neighbours.  The offsets start as the row ends, the degrees
-    accumulated.  Each edge goes into both its rows from the last edge back,
-    and a row's offset steps down as it fills, so that the filled offsets are
-    the row starts and each row holds its entries in the order of ids; no
-    cursor array is made.  So the rows of canonical text, whose lines ascend
-    with the smaller end first, ascend too and are not sorted.  Any other
-    order is sorted by one transposing pass, which fills the same way and
-    builds no list per unsorted row.  ids is emptied once the rows hold its
-    edges, so that the pass does not hold it too.  None when a self-loop or a
-    duplicate leaves a repeat in some row.
-    """
+def _sorted_edges(ids: array, n: int) -> tuple[array, array] | None:
+    # The edges u0 w0, u1 w1, ... of ids, on nodes below n, as two columns,
+    # their smaller ends and their larger ends, sorted by the larger end and
+    # then, stably, by the smaller: canonical order.  ids is emptied once the
+    # columns hold them.  None when an edge is a self-loop or comes twice.
     from array import array
 
-    degree = [0] * n  # a list: degrees are small ints, which are not made anew
-    for u in ids:
-        degree[u] += 1
-    start = array(_ID, accumulate(degree))
-    del degree
-    nbr = array(_ID, [0]) * len(ids)
-    pairs = reversed(ids)
-    for w, u in zip(pairs, pairs):
-        i = start[u] - 1
-        nbr[i] = w
-        start[u] = i
-        i = start[w] - 1
-        nbr[i] = u
-        start[w] = i
-    start.append(len(nbr))
+    pairs = iter(ids)
+    us = array(_ID, map(min, pairs, pairs))
+    pairs = iter(ids)
+    ws = array(_ID, map(max, pairs, pairs))
     del ids[:]
-    if not _ascending(start, nbr):
-        # Entry w of row u puts u in row w.  The entries are read from the
-        # last back, so their owners u descend and each row fills from its
-        # end down, ascending.  The owners are counted from the offsets in
-        # place; the ends, one copy, step down to the row starts.
-        lengths = map(sub, reversed(start), islice(reversed(start), 1, None))
-        owners = chain.from_iterable(map(repeat, range(n - 1, -1, -1), lengths))
-        transposed, ends = array(_ID, [0]) * len(nbr), start[1:]
-        for u, w in zip(owners, reversed(nbr)):
-            i = ends[w] - 1
-            transposed[i] = u
-            ends[w] = i
-        nbr = transposed
-        del ends
-        if not _ascending(start, nbr):
-            return None
-    return lambda u: nbr[start[u]:start[u + 1]]
+    ws, us = _sorted_by(ws, us, n)
+    us, ws = _sorted_by(us, ws, n)
+    if any(map(eq, us, ws)) or any(map(eq, zip(us, ws), islice(zip(us, ws), 1, None))):
+        return None
+    return us, ws
 
 
-def _ascending(start: array, nbr: array) -> bool:
-    # Whether each row strictly ascends: every entry not above the one before
-    # it starts a row.  Those entries and the row starts both come in
-    # ascending order, so each is looked for by reading on in the starts.
-    starts = iter(start)
-    return all(i in starts for i in compress(count(1), map(ge, nbr, islice(nbr, 1, None))))
+def _sorted_by(keys: array, others: array, n: int) -> tuple[array, array]:
+    # The pairs (keys[i], others[i]), keys below n, sorted by key by one
+    # counting sort, in their order within a key: each key's slots end where
+    # the keys up to it end, and the pairs are read from the last back while
+    # each key's end steps down as its slots fill.  No cursor array is made.
+    from array import array
+
+    sizes = [0] * n  # a list: counts are small ints, which are not made anew
+    for k in keys:
+        sizes[k] += 1
+    end = array(_ID, accumulate(sizes))
+    del sizes
+    sorted_keys, sorted_others = array(_ID, [0]) * len(keys), array(_ID, [0]) * len(keys)
+    for k, w in zip(reversed(keys), reversed(others)):
+        i = end[k] - 1
+        sorted_keys[i] = k
+        sorted_others[i] = w
+        end[k] = i
+    return sorted_keys, sorted_others

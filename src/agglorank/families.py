@@ -379,7 +379,7 @@ def write_labeled(lg: LabeledGraph) -> str:
     # One join of the family line and the blocks of class lines and of edges.
     classes = _blocks(f"# class {v} {c.value}\n" for v, c in enumerate(lg.classes))
     return "".join([f"# family {lg.spec.comment_fields()}\n", *classes,
-                    *_edge_lines(lg.graph.n, lg.graph.adj.__getitem__)])
+                    *_edge_lines(lg.graph)])
 
 
 def read_labeled(text: str) -> LabeledGraph:

@@ -23,10 +23,7 @@ raises.  ``from_edge_list`` builds the same way and names a fault from
 and the lines that hold its node (``_ends_beside``, by ``_PLAIN_LINE``'s
 syntax), to build G/v in flat int arrays, without its input graph, and
 raises what the one breadth-first search (``_bfs``) raises on a disconnected
-input (``_unreachable``).  That search and the writer of ``to_edge_list``
-(``_edge_lines``) read rows by index, ``row(u)``, so they serve both a
-``Graph``'s tuples and the flat rows that ``contract_text`` makes of text in
-any order but the canonical one.  Every text writer, the edges', the
+input (``_unreachable``).  Every text writer, the edges', the
 ``contract`` command's, ``gen``'s and the reports' grids, hands its lines to
 one joiner, ``_blocks``, which joins them ``_BLOCK_LINES`` at a time.
 
@@ -45,7 +42,7 @@ import sys
 from functools import reduce
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import itemgetter, mul, or_, xor
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn
 
 from .errors import ConnectivityError, DegenerateOrderError, EdgeListError
 
@@ -499,14 +496,14 @@ def to_edge_list(g: Graph) -> str:
     order, that is when the last node has no neighbor (isolated trailing
     nodes, or an edgeless single-node graph).
     """
-    return "".join(_edge_lines(g.n, g.adj.__getitem__))
+    return "".join(_edge_lines(g))
 
 
-def _edge_lines(n: int, row: Callable[[int], Sequence[int]]) -> Iterator[str]:
-    # to_edge_list's text of the n sorted rows row(0), row(1), ..., in blocks.
-    if n and not row(n - 1):
-        yield f"# n={n}\n"
-    yield from _blocks(f"{u} {v}\n" for u in range(n) for v in row(u) if v > u)
+def _edge_lines(g: Graph) -> Iterator[str]:
+    # to_edge_list's text of g, in blocks.
+    if g.n and not g.adj[-1]:
+        yield f"# n={g.n}\n"
+    yield from _blocks(f"{u} {v}\n" for u, nbrs in enumerate(g.adj) for v in nbrs if v > u)
 
 
 def _blocks(lines: Iterable[str]) -> Iterator[str]:
@@ -523,22 +520,22 @@ def degree(g: Graph, v: int) -> int:
     return len(g.adj[v])
 
 
-def _bfs(n: int, row: Callable[[int], Iterable[int]],
-         source: int) -> tuple[memoryview, list[int]]:
-    # The nodes a breadth-first search from source reaches over the n rows
-    # row(0), row(1), ..., in search order in a flat buffer of C ints, and
-    # where each level ends in it: distance d holds order[ends[d - 1]:ends[d]],
-    # from 0 at d = 0.  No int object and no distance is kept per node.
-    seen = bytearray(n)
+def _bfs(g: Graph, source: int) -> tuple[memoryview, list[int]]:
+    # The nodes a breadth-first search from source reaches in g, in search
+    # order in a flat buffer of C ints, and where each level ends in it:
+    # distance d holds order[ends[d - 1]:ends[d]], from 0 at d = 0.  No int
+    # object and no distance is kept per node.
+    adj = g.adj
+    seen = bytearray(g.n)
     seen[source] = 1
-    order = memoryview(bytearray(4 * n)).cast("i")
+    order = memoryview(bytearray(4 * g.n)).cast("i")
     order[0] = source
     ends = []
     start, end = 0, 1
     while start < end:
         ends.append(end)
         for u in order[start:end]:
-            for w in row(u):
+            for w in adj[u]:
                 if not seen[w]:
                     seen[w] = 1
                     order[end] = w
@@ -550,7 +547,7 @@ def _bfs(n: int, row: Callable[[int], Iterable[int]],
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """Exact hop distances from source to every node; the graph must be connected."""
     _check_node(g, source)
-    order, ends = _bfs(g.n, g.adj.__getitem__, source)
+    order, ends = _bfs(g, source)
     dist = [-1] * g.n
     for d, (start, end) in enumerate(zip([0, *ends], ends)):
         for u in order[start:end]:
@@ -567,7 +564,7 @@ def _unreachable(v: int, source: int) -> ConnectivityError:
 
 def is_connected(g: Graph) -> bool:
     """True iff a BFS from node 0 reaches every node."""
-    return len(_bfs(g.n, g.adj.__getitem__, 0)[0]) == g.n
+    return len(_bfs(g, 0)[0]) == g.n
 
 
 def _disconnected(g: Graph) -> NoReturn:

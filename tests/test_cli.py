@@ -400,6 +400,14 @@ class TestContract:
         assert code == 2
         assert err == "error: node 9 out of range for graph of order 4\n"
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_a_node_wider_than_64_bits_is_named_by_its_digit_count(self, capsys, tmp_path,
+                                                                   sign):
+        # As every other message names a number wider than 64 bits.
+        source = write(tmp_path, "p3.edges", "0 1\n1 2\n")
+        assert run(capsys, "contract", source, "--node", sign + "9" * 100) \
+            == (2, "", f"error: node {sign}<100 digits> out of range for graph of order 3\n")
+
     @_ANY_LENGTH
     @pytest.mark.parametrize("command", ["rank", "phi", "contract"])
     def test_an_id_too_long_for_int_exit_2_with_line(self, capsys, tmp_path, command):
@@ -472,12 +480,8 @@ class TestContract:
         ("0 1\n1 0\n1 2\n", 0, False),                      # duplicate inside S
         ("0 1\n1 2\n2 3\n3 3\n", 0, False),                 # self-loop between survivors
         ("0 1\n1 2\n2 3\n3 2\n", 0, False),                 # duplicate between survivors
-        ("3 3\n2 3\n1 2\n0 1\n", 0, False),                 # the same, in rows sorted after
+        ("3 3\n2 3\n1 2\n0 1\n", 0, False),                 # the same, in lines sorted after
         ("3 2\n0 1\n1 2\n2 3\n", 0, False),
-        (TWO_TRIANGLES, 4, False),                          # S unreachable, and it holds node 3
-        (TWO_TRIANGLES, 0, False),                          # S reachable, node 3 is not
-        ("0 1\n1 2\n3 4\n4 5\n5 3\n", 0, False),            # S and a survivor, then a triangle
-        ("0 1\n1 2\n2 0\n3 4\n", 4, False),                 # too few edges for the order
         ("0 1\n1 3\n", 2, False),                           # v is in no edge
         (PATH4, 4, False),                                  # --node at n
         (PATH4, 9, False),                                  # --node above n
@@ -558,13 +562,11 @@ class TestContractNumbering:
         node_table = made[0]
         assert list(node_table) == [u - sum(s < u for s in members) for u in range(g.n)]
 
-    # Canonical lines need no rows.  Any other order goes through rows, which
-    # come out ascending: sorted lines with the larger end first fill them in
-    # order and are checked once; any other order is sorted by one
-    # transposing pass, and checked again.
-    @pytest.mark.parametrize("order,checks", [("canonical", 0), ("larger end first", 1),
-                                              ("shuffled", 2)])
-    def test_rows_ascend_for_any_line_order(self, monkeypatch, order, checks):
+    # Canonical lines need no sort.  Any other order, even sorted lines with
+    # the larger end first, is sorted into canonical columns once.
+    @pytest.mark.parametrize("order,sorts", [("canonical", 0), ("larger end first", 1),
+                                             ("shuffled", 1)])
+    def test_edges_are_sorted_once_for_any_other_line_order(self, monkeypatch, order, sorts):
         g = parse_edge_list(random_edge_text(300, 900), connected=True)
         edges = list(g.edges())
         if order != "canonical":
@@ -574,31 +576,31 @@ class TestContractNumbering:
         text = "".join(f"{u} {w}\n" for u, w in edges)
         hub = max(range(g.n), key=lambda v: len(g.adj[v]))
         calls = []
-        ascending = contraction._ascending
-        monkeypatch.setattr(contraction, "_ascending",
-                            lambda *rows: calls.append(0) or ascending(*rows))
+        sorted_edges = contraction._sorted_edges
+        monkeypatch.setattr(contraction, "_sorted_edges",
+                            lambda *args: calls.append(0) or sorted_edges(*args))
         assert rows_of(contract_text(text, hub)) == contract(g, hub).graph.adj
-        assert len(calls) == checks
+        assert len(calls) == sorts
         assert_contract_as_before(text, hub, new_path=True)
 
 
-def _no_rows(ids, n):
-    raise AssertionError("canonical text went through rows")
+def _no_sort(ids, n):
+    raise AssertionError("canonical text was sorted")
 
 
 class TestSortedText:
     """Canonical text (u < w on each line, lines strictly ascending) is
-    contracted without rows: its edge array is written as it stands, and G is
-    checked connected by a union-find over it.  Text with any line out of
-    place goes through rows.  The bytes, the errors and the exit codes are
-    those of the parser of record."""
+    contracted without a sort: its edge array is written as it stands, and G
+    is checked connected by a union-find over it.  Text with any line out of
+    place is sorted into the same canonical columns first.  The bytes, the
+    errors and the exit codes are those of the parser of record."""
 
     @given(st.integers(2, 12), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_canonical_text_contracts_as_the_parser_of_record_at_every_node(self, n, seed):
         g = random_connected_graph(random.Random(seed), n)
         text = to_edge_list(g)
-        with mock.patch.object(contraction, "_flat_rows", _no_rows):
+        with mock.patch.object(contraction, "_sorted_edges", _no_sort):
             for node in range(n):
                 assert_contract_as_before(text, node, new_path=True)
 
@@ -610,26 +612,26 @@ class TestSortedText:
         ("0 1\n0 4\n1 2\n2 3\n3 4\n4 5\n", 5),                # S at the top
         ("0 1\n1 2\n1 3\n1 4\n", 1),                           # every survivor next to S
     ], ids=["crlf", "comments", "one node", "S at the bottom", "S at the top", "star"])
-    def test_canonical_forms_take_no_rows(self, text, node):
-        with mock.patch.object(contraction, "_flat_rows", _no_rows):
+    def test_canonical_forms_take_no_sort(self, text, node):
+        with mock.patch.object(contraction, "_sorted_edges", _no_sort):
             assert_contract_as_before(text, node, new_path=True)
 
-    def test_a_line_out_of_order_after_a_block_boundary_goes_through_rows(self, monkeypatch):
+    def test_a_line_out_of_order_after_a_block_boundary_is_sorted(self, monkeypatch):
         # Blocks of two lines: lines 1 and 2 are swapped, so each block is in
         # order and only the first line of the second block is out of place.
         monkeypatch.setattr(graph, "_BLOCK_CHARS", 8)
         text = "0 1\n2 3\n1 2\n3 4\n4 5\n5 6\n"
         assert [block for block in graph._plain_blocks(text)][:2] == [[0, 1, 2, 3], [1, 2, 3, 4]]
-        rows = []
-        flat_rows = contraction._flat_rows
-        monkeypatch.setattr(contraction, "_flat_rows", lambda *args: rows.append(0)
-                            or flat_rows(*args))
+        sorts = []
+        sorted_edges = contraction._sorted_edges
+        monkeypatch.setattr(contraction, "_sorted_edges", lambda *args: sorts.append(0)
+                            or sorted_edges(*args))
         for node in (0, 3, 6):
             assert_contract_as_before(text, node, new_path=True)
-        assert rows
+        assert sorts
 
     # A repeated line breaks the strict ascent, so the text is not canonical;
-    # either a repeat that touches S or the rows find it, and the text goes
+    # either a repeat that touches S or the sort finds it, and the text goes
     # back to the parser of record, which names the line.
     @pytest.mark.parametrize("node", [0, 2], ids=["repeat away from S", "repeat in S's edges"])
     def test_a_duplicate_in_a_sorted_run_declines(self, node):
@@ -638,15 +640,20 @@ class TestSortedText:
         assert contract_both_ways(text, node)[0][:3] == (
             2, "", 2 * "error: line 4: duplicate edge 2 3\n")
 
-    # Disconnected plain text is read to its end, then the union-find finds
-    # it disconnected: contract_text raises the error of the parser of
-    # record, which names the lowest node not joined to node 0, with no parse.
+    # Disconnected plain text, in any line order, is read to its end, then
+    # the union-find finds it disconnected: contract_text raises the error of
+    # the parser of record, which names the lowest node not joined to node 0,
+    # with no parse.
     @pytest.mark.parametrize("text,node,unreachable", [
         ("0 1\n0 2\n1 2\n3 4\n", 0, 3),    # node 0 in N[v]
         ("0 1\n0 2\n1 2\n3 4\n", 1, 3),
         ("0 1\n0 2\n1 2\n3 4\n", 3, 3),    # node 0 a survivor, the lowest unjoined in S
         ("0 1\n0 2\n1 2\n2 4\n", 0, 3),    # node 3 is in no edge, below the bound
         ("0 1\n0 2\n1 2\n2 4\n", 4, 3),
+        (TWO_TRIANGLES, 4, 3),                # out of order: S unreachable, and it holds node 3
+        (TWO_TRIANGLES, 0, 3),                # S reachable, node 3 is not
+        ("0 1\n1 2\n3 4\n4 5\n5 3\n", 0, 3),  # S and a survivor, then a triangle
+        ("0 1\n1 2\n2 0\n3 4\n", 4, 3),       # too few edges for the order
     ])
     def test_disconnected_text_raises_the_error_of_the_parser_of_record(
             self, capsys, monkeypatch, tmp_path, text, node, unreachable):
@@ -664,17 +671,24 @@ class TestSortedText:
         monkeypatch.setattr(cli, "parse_edge_list", _no_parse)
         assert run(capsys, "contract", source, "--node", str(node)) == expected
 
-    def test_the_text_is_freed_once_parsed(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("order", ["canonical", "shuffled"])
+    def test_the_text_is_freed_once_parsed(self, monkeypatch, tmp_path, order):
         # The command keeps no reference to the text, and contract_text drops
-        # its own once the last block is read, so while G is checked connected
-        # and G/v is written the traced memory holds G/v's edge array (8 bytes
-        # an edge) and a block of lines, not the text (21 characters an edge
-        # here); a text held past parsing overshoots the bound.
+        # its own once the last block is read and, in any other order, the
+        # edges are sorted, so while G is checked connected and G/v is written
+        # the traced memory holds G/v's edge columns (8 bytes an edge) and a
+        # block of lines, not the text (21 characters an edge here); a text
+        # held past parsing overshoots the bound.
         g = parse_edge_list(random_edge_text(20_000, 40_000), connected=True)
         text = to_edge_list(g)
+        if order == "shuffled":  # the lines shuffled, each either way round
+            rng = random.Random(order)
+            edges = list(g.edges())
+            rng.shuffle(edges)
+            text = "".join(f"{u} {w}\n" if rng.random() < 0.5 else f"{w} {u}\n" for u, w in edges)
         hub = max(range(g.n), key=lambda v: len(g.adj[v]))
         bound = 8 * g.edge_count() + len(text) // 2
-        source = write(tmp_path, "canonical.edges", text)
+        source = write(tmp_path, f"{order}.edges", text)
         del g, text
         argv = ["contract", source, "--node", str(hub), "--output", str(tmp_path / "out.edges")]
         main(argv)  # imports and compiled patterns

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agglorank.contraction import ContractionResult, _flat_rows, contract
+from agglorank.contraction import ContractionResult, _sorted_edges, contract
 from agglorank.errors import DegenerateOrderError
 from agglorank.families import (
     CometSpec,
@@ -231,26 +231,25 @@ def test_family_closure(spec, node_class, target):
             assert distance_signature(contract(lg.graph, v).graph) == expected
 
 
-@pytest.mark.parametrize("order, copies", [("canonical", 1), ("shuffled", 2)])
-def test_flat_rows_hold_no_cursor_array(order, copies):
-    # The rows of P(100001) from its 200,000 ids.  Canonical lines fill the
-    # neighbour array and the row offsets, and the ascent check reads them in
-    # place; shuffled lines add one transposed copy of each.  A cursor array
-    # beside the offsets (4 bytes a node) overshoots the bound.
+@pytest.mark.parametrize("order", ["canonical", "shuffled"])
+def test_sorted_edges_hold_no_cursor_array(order):
+    # The canonical columns of P(100001) from its 200,000 ids, in either
+    # order.  The columns, two sorted copies of them and the key ends of one
+    # counting sort fit the bound; a cursor array beside the ends (4 bytes a
+    # node), or a list per key, overshoots it.
     n = 100_001
     edges = [(u, u + 1) for u in range(n - 1)]
     if order == "shuffled":
         random.Random(order).shuffle(edges)
         edges = [(w, u) for u, w in edges]
     ids = array("i", [u for edge in edges for u in edge])
-    bound = copies * (ids.itemsize * len(ids) + ids.itemsize * (n + 1)) + 64 * 1024
+    bound = 2 * (ids.itemsize * len(ids) + ids.itemsize * (n + 1)) + 64 * 1024
     tracemalloc.start()
     try:
-        row = _flat_rows(ids, n)
+        us, ws = _sorted_edges(ids, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < bound, f"_flat_rows peak {peak} B, bound {bound} B"
-    assert [tuple(row(u)) for u in (0, 1, n // 2, n - 1)] == [(1,), (0, 2), (n // 2 - 1, n // 2 + 1),
-                                                              (n - 2,)]
-    assert not ids  # emptied once the rows hold its edges
+    assert peak < bound, f"_sorted_edges peak {peak} B, bound {bound} B"
+    assert list(us) == list(range(n - 1)) and list(ws) == list(range(1, n))
+    assert not ids  # emptied once the columns hold its edges

@@ -4,7 +4,6 @@ import dataclasses
 import random
 import sys
 import tracemalloc
-from array import array
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -623,8 +622,8 @@ def test_bfs_matches_relaxation_oracle(g):
 @st.composite
 def some_graphs(draw, max_n=12):
     """A random graph of 1..max_n nodes, connected or not: one to three random
-    connected parts with their ids interleaved, and its edges in a random
-    order, each either way round."""
+    connected parts with their ids interleaved, built from its edges in a
+    random order, each either way round."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     n = rng.randint(1, max_n)
     cuts = sorted(rng.sample(range(1, n), min(n - 1, rng.randint(0, 2))))
@@ -634,21 +633,20 @@ def some_graphs(draw, max_n=12):
         part = random_connected_graph(rng, hi - lo)
         edges += [(ids[lo + u], ids[lo + v])[::rng.choice((1, -1))] for u, v in part.edges()]
     rng.shuffle(edges)
-    return from_edge_list(edges, n=n), edges
+    return from_edge_list(edges, n=n)
 
 
 @given(some_graphs())
 @settings(max_examples=200, deadline=None)
-def test_one_search_serves_tuple_and_flat_rows(graph_and_edges):
-    # The same levels from a Graph's tuples and from contract_text's flat rows
-    # of the same edges (sorted by _flat_rows's transposing pass); distances
-    # and connectivity as the min-plus oracle has them.
-    g, edges = graph_and_edges
-    flat = contraction._flat_rows(array("i", [x for edge in edges for x in edge]), g.n)
+def test_the_search_agrees_with_the_oracle_on_any_graph(g):
+    # The levels of the one search, distances and connectivity as the min-plus
+    # oracle has them, on graphs connected or not.
     matrix = minplus_distance_matrix(g)
     for source in range(g.n):
-        order, ends = graph._bfs(g.n, g.adj.__getitem__, source)
-        assert graph._bfs(g.n, flat, source) == (order, ends)
+        order, ends = graph._bfs(g, source)
+        levels = [d for d, (start, end) in enumerate(zip([0, *ends], ends))
+                  for _ in range(start, end)]
+        assert [matrix[source, v] for v in order] == levels
         unreached = [v for v in range(g.n) if matrix[source, v] == UNREACHED]
         if unreached:
             with pytest.raises(ConnectivityError) as info:
