@@ -27,10 +27,11 @@ from .graph import (_blocks, _edge_lines, _id, _quoted, bfs_distances, check_cla
 from .options import FORMATS, usable_cpus
 
 import argparse
+import io
 import re
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -82,9 +83,16 @@ def _emit(args: argparse.Namespace, blocks: Iterable[str]) -> None:
     sys.stdout.writelines(blocks)
 
 
-def _read_text(args: argparse.Namespace) -> str:
+def _read_text(args: argparse.Namespace, file: BinaryIO | None = None) -> str:
+    # The input's whole text, as text mode reads it; from file, the input open
+    # in binary, read from its start, and file is closed.
     try:
-        return Path(args.input).read_text(encoding="utf-8-sig")
+        if file is None:
+            return Path(args.input).read_text(encoding="utf-8-sig")
+        if file.seekable():
+            file.seek(0)
+        with io.TextIOWrapper(file, encoding="utf-8-sig") as whole:
+            return whole.read()
     except UnicodeDecodeError as exc:
         raise EdgeListError(f"{args.input}: not UTF-8 text ({exc})") from None
 
@@ -130,10 +138,14 @@ def cmd_phi(args: argparse.Namespace) -> int:
 
 
 def cmd_contract(args: argparse.Namespace) -> int:
-    # Plain, connected text contracts without building its graph; any other
-    # text, and any fault, comes back to take the parser of record.  No name
-    # here holds the text, so it is freed once contract_text has read it.
-    contracted = contract_text(_read_text(args), args.node)
+    # Plain, connected text in a regular file contracts without building its
+    # graph, read twice in pieces and never whole; any other text or file,
+    # and any fault, comes back to be read whole and take the parser of
+    # record.  The file is closed before the output, which may name it, is
+    # opened.
+    with Path(args.input).open("rb") as file:
+        if (contracted := contract_text(file, args.node)) is file:
+            contracted = _read_text(args, file)
     if isinstance(contracted, str):
         g = parse_edge_list(contracted, connected=True)
         del contracted  # neither path needs the text to write its result

@@ -1,25 +1,31 @@
 """Node contraction: merge a node and its entire neighborhood into one node.
 
 ``contract`` contracts a built graph.  ``contract_text`` builds G/v from plain
-text (``graph._plain_text``) without the input graph: its id blocks, less the
-edges that touch N[v], are renumbered through a node table into one flat int
-array of G/v's edges, canonical if the text is and otherwise sorted into
-canonical columns (``_sorted_edges``).  G is checked connected by a
-union-find over them, and G/v is written from them.  Nothing is made per
-node.  The merged node is G/v's last id, n(G/v) - 1.
+text (``graph._plain_text``), a str or a regular file, without the input
+graph and without ever holding the whole text: it reads the text twice, in
+pieces of whole lines.  The first pass checks each piece plain, counts its
+edge lines and finds N(v); the second renumbers each piece's id blocks, less
+the edges that touch N[v], through a node table into one flat int array of
+G/v's edges, canonical if the text is and otherwise sorted into canonical
+columns (``_sorted_edges``).  G is checked connected by a union-find over
+them, and G/v is written from them.  Nothing is made per node.  The merged
+node is G/v's last id, n(G/v) - 1.
 """
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_right
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, filterfalse, islice, pairwise, repeat
+from itertools import (accumulate, chain, compress, count, filterfalse, islice, pairwise, repeat,
+                       zip_longest)
 from operator import eq, lt
-from typing import TYPE_CHECKING, Iterator, Sequence
+from stat import S_ISREG
+from typing import TYPE_CHECKING, BinaryIO, Iterator, Sequence
 
 from .errors import DegenerateOrderError
-from .graph import (Graph, _blocks, _check_node, _ends_beside, _FrozenRecord, _plain_blocks,
-                    _plain_text, _unreachable)
+from .graph import (_BLOCK_CHARS, Graph, _blocks, _check_node, _ends_beside, _FrozenRecord,
+                    _newlines_only, _plain_blocks, _plain_text, _unreachable)
 
 if TYPE_CHECKING:
     from array import array
@@ -28,6 +34,9 @@ if TYPE_CHECKING:
 # a text of fewer than 2^30 lines fit it, and a longer text (over 4 GiB)
 # declines.
 _ID = "i"
+# contract_text reads its text in pieces of this many characters, or bytes of
+# a file, and the rest of the line the last of them is in.
+_PIECE = 16 * _BLOCK_CHARS
 
 
 class ContractionResult(_FrozenRecord):
@@ -91,38 +100,54 @@ def contract(g: Graph, v: int) -> ContractionResult:
     return ContractionResult(graph=contracted, merged_into=merged, new_ids=new_of)
 
 
-def contract_text(text: str, v: int) -> tuple[int, Iterator[str], Iterator[int]] | str:
+def contract_text(text: str | BinaryIO,
+                  v: int) -> tuple[int, Iterator[str], Iterator[int]] | str | BinaryIO:
     """Contract v in plain, connected edge-list text without building its graph.
 
-    Returns the order n of G/v, whose last id n - 1 is the merged node, the
-    blocks of ``to_edge_list`` of G/v, and the surviving old ids in ascending
-    order, whose new ids are 0, 1, ...: ``contract`` of the parsed text.
-    Returns the text itself, as given, for the parser of record to decide,
-    when it is not plain (``graph._plain_text``, before any search) or holds
-    a fault, or when no edge holds v (v isolated or out of the order).
-    Raises what the parser of record raises when G is disconnected.  N(v)
-    comes from the lines that hold v (``graph._ends_beside``).  Each block of
-    old ids, less its pairs that touch S = N[v], is renumbered into one flat
-    array of G/v's edges by a node table, which grows over each old id once:
-    u becomes u minus the members of S below it, a count fixed between two
-    members, so the table grows by ranges.  A self-loop or a duplicate on an
-    edge that touches S would vanish, so a set of those pairs finds it.
+    The text is a str or a file open in binary.  Returns the order n of G/v,
+    whose last id n - 1 is the merged node, the blocks of ``to_edge_list`` of
+    G/v, and the surviving old ids in ascending order, whose new ids are 0,
+    1, ...: ``contract`` of the parsed text.  Returns the text itself, as
+    given, for the parser of record to decide, when it is not plain
+    (``graph._plain_text``) or holds a fault, or when no edge holds v (v
+    isolated or out of the order); a file is then read whole by the caller,
+    as it is when it is not a regular file, not UTF-8 or has a line longer
+    than a piece (``_pieces``).  Raises what the parser of record raises
+    when G is disconnected.
+
+    No copy of the whole text is held: it is read twice, a piece at a time.
+    The first pass checks each piece plain and counts its edge lines, which
+    bound the ids, and finds N(v) from the lines that hold v
+    (``graph._ends_beside``).  The second reads the pieces again, each the
+    first pass read (by its hash), or the text declines, and renumbers each
+    block of old ids, less its pairs that touch S = N[v], into one flat
+    array of G/v's edges by a node table, which grows over each old id
+    once: u becomes u minus the members of S below it, a count fixed
+    between two members, so the table grows by ranges.  A self-loop or a
+    duplicate on an edge that touches S would vanish, so a set of those
+    pairs finds it.
 
     Canonical text (u < w on each line, lines strictly ascending), checked
     block by block, holds no other repeat and leaves the array canonical; any
     other order is sorted into canonical columns (``_sorted_edges``), which
-    find a repeat.  The text is then dropped, so it is freed if the caller
-    holds none; G is checked connected (``_check_connected``), and G/v is
-    written from the columns (``_pair_lines``).  No ``Graph`` is made.
+    find a repeat.  The text is then dropped; G is checked connected
+    (``_check_connected``), and G/v is written from the columns
+    (``_pair_lines``).  No ``Graph`` is made.
     """
     from array import array  # only contract loads it: rank and phi do not
 
-    if (plain := _plain_text(text, connected=True)) is None:
-        return text
-    lines, bound = plain
+    edge_lines, others, hashes = 0, [], []
+    for piece in _pieces(text):
+        # _plain_text gives back a piece with no line break but "\n" as it is.
+        if piece is None or (plain := _plain_text(piece, True)) is None or plain[0] is not piece:
+            return text
+        edge_lines += plain[1] - 1
+        others += _ends_beside(piece, v)
+        hashes.append(hash(piece))
+    bound = edge_lines + 1
     if bound >= 1 << 30:  # too many lines for _ID
         return text
-    if not (others := _ends_beside(lines, v)):
+    if not others:
         return text  # v is isolated or out of the order
     try:
         removed = {v, *map(int, others)}
@@ -136,28 +161,31 @@ def contract_text(text: str, v: int) -> tuple[int, Iterator[str], Iterator[int]]
     ids = array(_ID)  # the new ids u0, w0, u1, w1, ... of G/v's edges
     touched: set[tuple[int, ...]] = set()
     top, last, ordered = -1, (-1, -1), True
-    for block in _plain_blocks(lines):
-        if block is None:
+    for piece, known in zip_longest(_pieces(text), hashes):
+        if piece is None or hash(piece) != known:  # a file changed between the passes
             return text
-        # An id at or above the bound makes more nodes than the edges connect.
-        if (top := max(top, max(block, default=-1))) >= bound:
-            return text
-        if ordered:  # so far canonical: each line above the last, smaller end first
-            us, ws = block[::2], block[1::2]
-            pairs = [last, *zip(us, ws)]
-            ordered = all(map(lt, us, ws)) and all(map(lt, pairs, islice(pairs, 1, None)))
-            last = pairs[-1]
-        # Take out each pair that touches S, the last first, so that the
-        # indices of the others hold.
-        hits = compress(count(), map(removed.__contains__, block))
-        for at in sorted({i & ~1 for i in hits}, reverse=True):
-            key = tuple(sorted(block[at:at + 2]))
-            if key[0] == key[1] or key in touched:
+        for block in _plain_blocks(piece):
+            if block is None:
                 return text
-            touched.add(key)
-            del block[at:at + 2]
-        node.extend(islice(table, top + 1 - len(node)))
-        ids.fromlist(list(map(node.__getitem__, block)))
+            # An id at or above the bound makes more nodes than the edges connect.
+            if (top := max(top, max(block, default=-1))) >= bound:
+                return text
+            if ordered:  # so far canonical: each line above the last, smaller end first
+                us, ws = block[::2], block[1::2]
+                pairs = [last, *zip(us, ws)]
+                ordered = all(map(lt, us, ws)) and all(map(lt, pairs, islice(pairs, 1, None)))
+                last = pairs[-1]
+            # Take out each pair that touches S, the last first, so that the
+            # indices of the others hold.
+            hits = compress(count(), map(removed.__contains__, block))
+            for at in sorted({i & ~1 for i in hits}, reverse=True):
+                key = tuple(sorted(block[at:at + 2]))
+                if key[0] == key[1] or key in touched:
+                    return text
+                touched.add(key)
+                del block[at:at + 2]
+            node.extend(islice(table, top + 1 - len(node)))
+            ids.fromlist(list(map(node.__getitem__, block)))
     n = top + 2 - len(removed)
     touching = [node[u] for u in sorted({u for pair in touched for u in pair} - removed)]
     del node
@@ -167,10 +195,46 @@ def contract_text(text: str, v: int) -> tuple[int, Iterator[str], Iterator[int]]
         edges = column[::2], column[1::2]
     elif (edges := _sorted_edges(ids, n - 1)) is None:
         return text
-    del text, lines, plain
+    del text, piece, plain
     us, ws = edges
     _check_connected(n, us, ws, touching, removed)
     return n, _blocks(_pair_lines(us, ws, touching, n - 1)), survivors
+
+
+def _pieces(text: str | BinaryIO) -> Iterator[str | None]:
+    # The text from its start in pieces of whole lines, each _PIECE long and
+    # the rest of the line it ends in.  A str has its line breaks written as
+    # "\n" (graph._newlines_only) and is cut by slicing.  A regular file is
+    # read as text mode reads it: UTF-8, a byte-order mark dropped, "\r\n"
+    # and "\r" as "\n"; a read that finds no newline in a piece's length
+    # yields None and stops, as do a file that is not regular (it is not
+    # read: a pipe cannot be read twice) and a piece that is not UTF-8.
+    if isinstance(text, str):
+        text = _newlines_only(text)
+        start = 0
+        while start < len(text):
+            end = text.find("\n", start + _PIECE - 1) + 1 or len(text)
+            yield text[start:end]
+            start = end
+        return
+    if not S_ISREG(os.fstat(text.fileno()).st_mode):
+        yield None
+        return
+    text.seek(0)
+    codec = "utf-8-sig"
+    while data := text.read(_PIECE):
+        if not data.endswith(b"\n"):
+            data += (rest := text.readline(_PIECE))
+            if len(rest) == _PIECE and not rest.endswith(b"\n"):
+                yield None
+                return
+        try:
+            piece = data.decode(codec)
+        except UnicodeDecodeError:
+            yield None
+            return
+        codec = "utf-8"
+        yield piece.replace("\r\n", "\n").replace("\r", "\n") if "\r" in piece else piece
 
 
 def _pair_lines(us: Sequence[int], ws: Sequence[int], touching: Sequence[int],
@@ -183,10 +247,10 @@ def _pair_lines(us: Sequence[int], ws: Sequence[int], touching: Sequence[int],
     lo = 0
     for u in touching:
         hi = bisect_right(us, u, lo)
-        yield from map("{} {}\n".format, us[lo:hi], ws[lo:hi])
+        yield from (f"{a} {b}\n" for a, b in zip(us[lo:hi], ws[lo:hi]))
         yield f"{u} {merged}\n"
         lo = hi
-    yield from map("{} {}\n".format, us[lo:], ws[lo:])
+    yield from (f"{a} {b}\n" for a, b in zip(us[lo:], ws[lo:]))
 
 
 def _check_connected(n: int, us: Sequence[int], ws: Sequence[int], touching: Sequence[int],

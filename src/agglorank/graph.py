@@ -192,7 +192,7 @@ def _quoted(text: str, what: str = "line") -> str:
 
 def _check_node(g: Graph, v: int) -> None:
     if not 0 <= v < g.n:
-        raise IndexError(f"node {v} out of range for graph of order {g.n}")
+        raise IndexError(f"node {_id(v)} out of range for graph of order {g.n}")
 
 
 def _validated(

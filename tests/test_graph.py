@@ -179,6 +179,18 @@ class TestDegree:
             degree(path(4), v)
 
 
+# A node wider than 64 bits is named by its digit count, as the CLI and every
+# parse message name it (graph._id); shorter ones are written in full.
+@pytest.mark.parametrize("v,named", [(10**100, "<101 digits>"), (-10**30, "-<31 digits>"),
+                                     (2**64 - 1, str(2**64 - 1)), (-2**64 + 1, str(-2**64 + 1))],
+                         ids=["10**100", "-10**30", "2**64-1", "-(2**64-1)"])
+@pytest.mark.parametrize("call", [contract, degree, bfs_distances])
+def test_an_out_of_range_node_is_named_as_the_cli_names_it(call, v, named):
+    with pytest.raises(IndexError) as info:
+        call(parse_edge_list("0 1\n1 2\n"), v)
+    assert str(info.value) == f"node {named} out of range for graph of order 3"
+
+
 class TestConnectivity:
     def test_path_connected(self):
         assert is_connected(path(5))
